@@ -14,22 +14,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .convergence import (canonical_schedule, check_hypotheses,
-                          closed_spectrum_table, dirichlet_convergence_table,
-                          eigenfunction_comparison)
+from .convergence import closed_spectrum_table, dirichlet_convergence_table
 from .eigensolve import SolverError, cap_eigenvalue, halfline_eigenvalue, nu_of_s
-from .harmonics import (build_family, build_P, build_Q_gauss, build_Q_sphere,
-                        check_harmonic, ou_apply,
-                        projected_eigenspace_dimension)
+from .harmonics import (build_P, build_Q_gauss, build_Q_sphere, check_harmonic,
+                        ou_apply, projected_eigenspace_dimension)
 from .heatflow import (SpectralCoefficients, gauss_basis, heat_convergence_table,
-                       heat_evolve, recovery_sequence)
+                       recovery_sequence)
 from .indices import MultiIndex, enumerate_multi_indices, gauss_multiplicity, sphere_multiplicity
 from .polyalg import LiftedPoly, dumps, dumps_lifted
 
@@ -103,10 +98,13 @@ def _read_schedule(path: str):
     """CSV with columns (N, a_N, theta_N); returns a schedule callable."""
     table = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or not row[0].strip() or row[0].strip().lower() == "n":
                 continue
-            N, a, theta = int(row[0]), float(row[1]), float(row[2])
+            try:
+                N, a, theta = int(row[0]), float(row[1]), float(row[2])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}:{lineno}: expected numeric N, a_N, theta_N") from None
             table[N] = (a, theta)
 
     def schedule(N: int):
@@ -115,6 +113,14 @@ def _read_schedule(path: str):
         return table[N]
 
     return schedule
+
+
+def _positive_square(text: str, option: str) -> Fraction:
+    """Square of a positive rational option value such as a radius or a scale."""
+    value = Fraction(text)
+    if value <= 0:
+        raise ValueError(f"{option} must be positive, got {text}")
+    return value ** 2
 
 
 def _eigen_row(result, tol: float) -> tuple[dict, bool]:
@@ -132,13 +138,13 @@ def _eigen_row(result, tol: float) -> tuple[dict, bool]:
 def _cmd_closed_spectrum(args) -> int:
     rows = []
     if args.space == "sphere":
-        a2 = Fraction(args.a) ** 2
+        a2 = _positive_square(args.a, "--a")
         for k in range(args.kmax + 1):
             rows.append({"k": k, "lambda": Fraction(k * (k + args.N - 1)) / a2,
                          "multiplicity": sphere_multiplicity(args.N, k)})
         columns = ["k", "lambda", "multiplicity"]
     else:
-        alpha2 = Fraction(args.alpha) ** 2
+        alpha2 = _positive_square(args.alpha, "--alpha")
         for k in range(args.kmax + 1):
             rows.append({"k": k, "lambda": Fraction(k) / alpha2,
                          "multiplicity": gauss_multiplicity(args.n, k)})
@@ -203,14 +209,8 @@ def _cmd_converge_dirichlet(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    Ns = list(range(args.N_from, args.N_to + 1))
-
-    def one(N):
-        return nu_of_s(N, args.s, args.tol)
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        values = list(pool.map(one, Ns))
-    rows = [{"N": N, "s": args.s, "nu": v} for N, v in zip(Ns, values)]
+    rows = [{"N": N, "s": args.s, "nu": nu_of_s(N, args.s, args.tol)}
+            for N in range(args.N_from, args.N_to + 1)]
     _emit(args, ["N", "s", "nu"], rows, _meta(args, "nu"))
     if args.emit_plot_data:
         _emit_plot(args.emit_plot_data, [(r["N"], r["nu"]) for r in rows])
@@ -320,9 +320,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
     p.add_argument("--seed", type=int,
                    default=int(os.environ.get("SPHERE2GAUSS_SEED", DEFAULT_SEED)))
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--quad-order", type=int, default=48)
-    p.add_argument("--panels", type=int, default=16)
     p.add_argument("--emit-plot-data", metavar="PATH",
                    help="also write (x, y) CSV pairs to PATH")
 

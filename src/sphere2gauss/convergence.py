@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .eigensolve import EigenResult, cap_eigenvalue, halfline_eigenvalue
+from .eigensolve import cap_eigenvalue, halfline_eigenvalue
 from .geometry import normalization_Z, SphereSpec
 from .quadrature import integrate_interval
 
@@ -42,11 +42,6 @@ class ConvergenceRow:
     note: str = ""
 
 
-def canonical_radius(alpha, N: int):
-    """a_N = alpha*sqrt(N-1); exact Fraction when alpha^2*(N-1) is a square."""
-    return alpha * math.sqrt(N - 1)
-
-
 def closed_spectrum_table(n: int, alpha, k_max: int,
                           N_list: Sequence[int]) -> list[ConvergenceRow]:
     """Exact table of closed eigenvalues along the canonical schedule.
@@ -56,9 +51,9 @@ def closed_spectrum_table(n: int, alpha, k_max: int,
     identically.  The dimension n does not enter the eigenvalues (only
     their multiplicities) and is accepted for interface symmetry.
     """
-    if n < 1 or k_max < 0:
-        raise ValueError("need n >= 1 and k_max >= 0")
     alpha2 = Fraction(alpha) ** 2
+    if n < 1 or k_max < 0 or alpha2 == 0:
+        raise ValueError("need n >= 1, k_max >= 0 and alpha != 0")
     rows = []
     for N in N_list:
         if N < 2:
@@ -166,19 +161,12 @@ def proof_identities(alpha: float, R: float, N: int,
     With h_N normalized so that int h_N^2 w_N dr = 1 on I_N, the Dirichlet
     identity int h_N'^2 s_N w_N dr = lambda_N holds, and the second moment
     int r^2 h_N^2 w_N dr is bounded by (2 a_N^2/N)(1 + 2 a_N^2 lambda_N/N).
-    The derivative is taken by central differences of the dense solver output.
+    The derivative is taken by central differences of the closed-form profile.
     """
     aN, thetaN = canonical_schedule(alpha, R, N)
     cap = cap_eigenvalue(N, aN, thetaN, 0, 1, tol)
     lo = alpha * R
-    log_Zw = normalization_Z(SphereSpec(N, aN))
-
-    def w_N(r):
-        s = 1.0 - (r / aN) ** 2
-        if s <= 0.0:
-            return 0.0
-        return math.exp((N / 2.0 - 1.0) * math.log(s) - log_Zw)
-
+    w_N = _sphere_weight(N, aN)
     h = _normalize_positive(cap.profile, w_N, lo, aN, order=64, panels=32)
     dr = 1e-6 * aN
 
@@ -196,6 +184,19 @@ def proof_identities(alpha: float, R: float, N: int,
     return ProofIdentities(N=N, norm_value=norm_value, energy_value=energy_value,
                            lam=cap.lam, second_moment=second,
                            second_moment_bound=bound)
+
+
+def _sphere_weight(N: int, aN: float):
+    """w_N(r) = s_N^{N/2-1} / int_{-aN}^{aN} s_N^{N/2-1} dr, zero off (-aN, aN)."""
+    log_Zw = normalization_Z(SphereSpec(N, aN))
+
+    def w_N(r):
+        s = 1.0 - (r / aN) ** 2
+        if s <= 0.0:
+            return 0.0
+        return math.exp((N / 2.0 - 1.0) * math.log(s) - log_Zw)
+
+    return w_N
 
 
 def _normalize_positive(profile, weight, lo: float, hi: float, order: int,
@@ -226,13 +227,7 @@ def eigenfunction_comparison(alpha: float, R: float, N: int,
 
     lo = alpha * R
     a2 = alpha * alpha
-    log_Zw = normalization_Z(SphereSpec(N, aN))  # int_{-aN}^{aN} s_N^{N/2-1} dr
-
-    def w_N(r):
-        s = 1.0 - (r / aN) ** 2
-        if s <= 0.0:
-            return 0.0
-        return math.exp((N / 2.0 - 1.0) * math.log(s) - log_Zw)
+    w_N = _sphere_weight(N, aN)
 
     def w_inf(r):
         return math.exp(-r * r / (2.0 * a2)) / (math.sqrt(2.0 * math.pi) * alpha)

@@ -1,32 +1,32 @@
-"""Sturm-Liouville eigenvalue solvers for caps and Gaussian half-lines.
+"""Dirichlet eigenvalues of caps and Gaussian half-lines from closed forms.
 
 Two boundary-value problems are handled:
 
 * the geodesic cap of aperture theta on an N-sphere of radius a, with
-  angular index k (regular singular point at the pole, Frobenius start);
-* the half-line (alpha*R, infinity) under the 1-D Gaussian measure, with
-  the k/alpha^2 angular shift (truncated domain, inward integration).
+  angular index k.  The eigenfunction regular at the pole is
+  sin^k(u) 2F1(k-nu, nu+k+N-1; k+N/2; sin^2(u/2)) (DLMF 15.2, 18.3), with
+  lambda = nu (nu + N - 1) / a^2;
+* the half-line (alpha*R, infinity) under the 1-D Gaussian measure.  With
+  x = r/alpha the eigenfunction recessive at infinity is exp(x^2/4) D_nu(x)
+  (DLMF 12.2), with lambda = (nu + k) / alpha^2.
 
-Eigenvalues are located by oscillation-count bisection followed by a
-root-find on the terminal boundary value, which is derivative-free in the
-spectral parameter and selects the branch j deterministically.  Counting
-passes run at a coarse integrator tolerance; the root-find and the final
-dense solve run at tol/1e4.
+Each eigenvalue is the root in nu of the closed form at the boundary.  The
+branch j is isolated by oscillation-count bisection on the profile sampled
+past the boundary; one Brent root-find then locates nu.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
+from scipy.special import betaincinv, rgamma, roots_genlaguerre
 
 from .geometry import GaussSpec, SphereSpec
-from .quadrature import cap_volume_fraction
 
 
 class SolverError(RuntimeError):
@@ -58,13 +58,24 @@ class EigenResult:
     residual: float
     zeros: int
     samples: np.ndarray  # (abscissa, value) pairs, uniform abscissa
-    iterations: int
+    iterations: int  # closed-form evaluations spent on the root
     profile: Callable[[float], float] = field(repr=False, default=None)
 
 
+_EPS = float(np.finfo(float).eps)
 _GRID = 1024  # verification-grid size
-_COUNT_GRID = 160  # sampling density used for interior zero counting
-_COARSE_RTOL = 3e-7
+_COUNT_GRID = 160  # least sampling density used for interior zero counting
+_LAGUERRE = 40  # quadrature nodes for the half-line Laplace integrals
+# the least sampled stretch past the boundary, in widths of the projected
+# weight (a/sqrt(N) on the cap, alpha on the half-line); the stretch grows to
+# the turning point of the branch when that lies further out
+_WINDOW = 12.0
+# the verification samples stop where the weighted eigenfunction has fallen
+# to 1e-12 of its peak amplitude: further out it carries no weight
+_DEPTH = 12 * math.log(10)
+# order-8 central differences: weights of h[i-4..i+4] for h'(i) and h''(i)
+_D1 = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0, 4 / 5, -1 / 5, 4 / 105, -1 / 280])
+_D2 = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560])
 
 
 def _count_sign_changes(values: np.ndarray) -> int:
@@ -73,8 +84,27 @@ def _count_sign_changes(values: np.ndarray) -> int:
     return int(np.sum(signs[:-1] != signs[1:]))
 
 
+def _count_points(span: float, wavenumber: float) -> int:
+    """Count-grid size with four samples per zero spacing.
+
+    By Sturm comparison, zeros of w'' + Q w = 0 lie at least pi/sqrt(max Q)
+    apart; ``wavenumber`` is that sqrt(max Q) and ``span`` the gridded stretch.
+    """
+    return max(_COUNT_GRID, math.ceil(4 * span * wavenumber / math.pi) + 1)
+
+
+def _weighted_extent(abscissa: np.ndarray, log_amplitude: np.ndarray) -> float:
+    """Far end of the stretch where the weighted eigenfunction is not negligible.
+
+    ``abscissa`` runs from the far end to the boundary, ``log_amplitude`` is
+    log(|profile| sqrt(weight)) there; past the turning point it only falls.
+    """
+    keep = np.nonzero(log_amplitude >= np.max(log_amplitude) - _DEPTH)[0][0]
+    return float(abscissa[keep])
+
+
 def _effective_zero_count(values: np.ndarray) -> int:
-    """Interior zeros of a shot starting positive, with a boundary-lag fix.
+    """Interior zeros of a profile starting positive, with a boundary-lag fix.
 
     Just above an eigenvalue the newest zero sits arbitrarily close to the
     terminal endpoint and can hide inside the last grid interval; the parity
@@ -90,196 +120,204 @@ def _effective_zero_count(values: np.ndarray) -> int:
     return interior
 
 
-class _EvalCounter:
-    def __init__(self):
-        self.n = 0
-
-
-def _bracket_branch(shoot_count, j: int, lam_hi0: float, counter: _EvalCounter,
-                    max_grow: int = 60):
+def _bracket_branch(count, j: int, hi0: float, max_grow: int = 60):
     """Locate adjacent spectral parameters with oscillation counts j-1 and j."""
     lo = 1e-12
-    count_lo, end_lo = shoot_count(lo)
-    counter.n += 1
+    count_lo = count(lo)
     if count_lo >= j:
         raise SolverError("oscillation count at the bottom of the bracket is too high")
-    hi = lam_hi0
-    count_hi, end_hi = shoot_count(hi)
-    counter.n += 1
+    hi = hi0
+    count_hi = count(hi)
     grow = 0
     while count_hi < j:
         hi *= 2.0
         grow += 1
         if grow > max_grow:
-            raise SolverError(f"no bracket found below lambda = {hi:g}")
-        count_hi, end_hi = shoot_count(hi)
-        counter.n += 1
+            raise SolverError(f"no bracket found below nu = {hi:g}")
+        count_hi = count(hi)
     while not (count_lo == j - 1 and count_hi == j):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             raise SolverError("bracket collapsed before isolating the branch")
-        count_mid, end_mid = shoot_count(mid)
-        counter.n += 1
+        count_mid = count(mid)
         if count_mid >= j:
-            hi, count_hi, end_hi = mid, count_mid, end_mid
+            hi, count_hi = mid, count_mid
         else:
-            lo, count_lo, end_lo = mid, count_mid, end_mid
-    # the parity-corrected counts guarantee opposite terminal signs across the
-    # bracket; polish the root with cheap coarse shots so that the expensive
-    # fine stage starts from a tight interval
-    def coarse_end(mu):
-        counter.n += 1
-        return shoot_count(mu)[1]
+            lo, count_lo = mid, count_mid
+    return lo, hi
 
+
+def _branch_root(on_grid, at_boundary, j: int, hi0: float, tol: float):
+    """Root of branch j and the number of closed-form evaluations it took.
+
+    ``on_grid(x)`` samples the profile from its far end to the boundary;
+    ``at_boundary(x)`` is its last value.  The parity-corrected counts give
+    opposite boundary signs across the bracket, which holds one root.
+    """
+    calls = 0
+
+    def count(x):
+        nonlocal calls
+        calls += 1
+        return _effective_zero_count(on_grid(x))
+
+    def end(x):
+        nonlocal calls
+        calls += 1
+        return at_boundary(x)
+
+    lo, hi = _bracket_branch(count, j, hi0)
     try:
-        root = brentq(coarse_end, lo, hi, xtol=3e-6 * hi, rtol=1e-12)
-    except ValueError:
-        return lo, hi
-    delta = 3e-5 * hi  # well above the coarse-integration error in the root
-    return max(lo, root - delta), min(hi, root + delta)
-
-
-def _refine_root(shoot_end, lo: float, hi: float, tol: float,
-                 counter: _EvalCounter) -> float:
-    """Root of the terminal value inside a count-isolating bracket."""
-
-    def f(mu):
-        counter.n += 1
-        return shoot_end(mu)
-
-    width = hi - lo
-    # the bracket came from a coarser integration; widen if the fine signs agree
-    for _ in range(9):
-        try:
-            return brentq(f, lo, hi, xtol=tol * 1e-3, rtol=8.9e-16)
-        except ValueError:
-            lo = max(1e-12, lo - 0.5 * width)
-            hi = hi + 0.5 * width
-    raise SolverError("terminal values do not change sign across the bracket")
-
-
-def _fd_derivatives(h: np.ndarray, dr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Order-4 central first and second differences on the interior."""
-    h1 = (h[:-4] - 8 * h[1:-3] + 8 * h[3:-1] - h[4:]) / (12 * dr)
-    h2 = (-h[:-4] + 16 * h[1:-3] - 30 * h[2:-2] + 16 * h[3:-1] - h[4:]) / (12 * dr * dr)
-    return h1, h2
+        root = brentq(end, lo, hi, xtol=np.finfo(float).tiny,
+                      rtol=max(1e-3 * tol, 4 * _EPS))
+    except ValueError as exc:
+        raise SolverError(f"boundary values do not change sign across [{lo:g}, {hi:g}]") from exc
+    return root, calls
 
 
 def ode_residual(result: EigenResult, problem: SturmLiouvilleSpec) -> float:
-    """Max scaled ODE residual of the sampled eigenfunction, in the r-coordinate form.
+    """Max ODE residual of the sampled eigenfunction, in the r-coordinate form.
 
-    Uses order-4 finite differences on the uniform verification grid; the
-    residual at each point is normalized by 1 + |lambda|*|h|.
+    Order-8 central differences on the uniform verification grid.  Each
+    point's residual is divided by the summed magnitudes of the ODE's three
+    terms there, so that an error anywhere on the grid counts at its own
+    scale.  To that sum is added |c2| (|h'| / span + |h| / span^2), the
+    second-derivative term of a function that changes by its own size
+    across the sampled span; it keeps the ratio finite where all three terms
+    nearly vanish together: for lambda -> 0 with a nearly constant
+    eigenfunction, or at a zero of h where c1 = 0.
     """
     r = result.samples[:, 0]
     h = result.samples[:, 1]
+    span = r[-1] - r[0]
     dr = r[1] - r[0]
-    h1, h2 = _fd_derivatives(h, dr)
-    ri = r[2:-2]
-    hi = h[2:-2]
-    lam = result.lam
+    windows = sliding_window_view(h, len(_D1))
+    h1, h2 = windows @ _D1 / dr, windows @ _D2 / dr ** 2
+    m = len(_D1) // 2
+    r, h = r[m:-m], h[m:-m]
     k = problem.angular_k
     if problem.kind == "cap":
         N, a = problem.spec.N, problem.spec.a
-        s = 1.0 - (ri / a) ** 2
-        res = s * h2 - (N * ri / a ** 2) * h1 + (lam - k * (k + N - 2) / (a ** 2 * s)) * hi
+        c2 = 1.0 - (r / a) ** 2
+        c1 = -N * r / a ** 2
+        c0 = result.lam - k * (k + N - 2) / (a ** 2 * c2)
     else:
         alpha = problem.spec.alpha
-        res = h2 - (ri / alpha ** 2) * h1 + (lam - k / alpha ** 2) * hi
-    return float(np.max(np.abs(res) / (1.0 + abs(lam) * np.abs(hi))))
+        c2, c1, c0 = 1.0, -r / alpha ** 2, result.lam - k / alpha ** 2
+    terms = (c2 * h2, c1 * h1, c0 * h)
+    size = (sum(np.abs(term) for term in terms)
+            + np.abs(c2) * (np.abs(h1) / span + np.abs(h) / span ** 2))
+    return float(np.max(np.abs(sum(terms)) / size))
+
+
+def _series(a: float, b: float | None, c: float, z):
+    """2F1(a, b; c; z), or 1F1(a; c; z) for b=None, and its summed term magnitude.
+
+    Needs a <= 1, c > 0 and 0 <= z, with z < 1 for 2F1; z is a scalar or an
+    array.  Once a + m > 0, every later term ratio is below z/(m+c) for 1F1
+    and z*max(1, (m+b)/(m+c)) for 2F1; summation stops when the geometric
+    tail this bounds drops below the rounding error of the sum so far.
+    """
+    every = np.all if np.ndim(z) else bool  # plain floats skip numpy's overhead
+    if b is not None and not every(z < 1):
+        raise SolverError("2F1 series needs z < 1: the cap reaches the antipode in float64")
+    term = total = size = 1.0 + 0.0 * z
+    m = 0
+    while True:
+        ratio = (a + m) / ((c + m) * (m + 1))
+        if b is not None:
+            ratio *= b + m
+        term = term * ratio * z
+        total = total + term
+        size = size + abs(term)
+        m += 1
+        if m % 8 == 0 and m > -a:
+            if not every(size < math.inf):
+                raise SolverError(f"hypergeometric series at ({a:g}, {b}, {c:g}) overflows float64")
+            rho = z / (m + c) if b is None else z * max(1.0, (m + b) / (m + c))
+            if every((rho < 1) & (abs(term) * rho <= _EPS * (1 - rho) * size)):
+                return total, size
 
 
 # -- spherical cap -------------------------------------------------------
 
 
-def _cap_ivp(mu: float, N: int, k: int, theta: float, rtol: float,
-             t_eval=None, dense: bool = False):
-    """Integrate the unit-radius cap ODE in the colatitude u from the Frobenius start.
+def _cap_form(n: float, N: int, k: int):
+    """t -> 2F1(-n, n+2k+N-1; k+N/2; (1-t)/2) at t = cos(u), scalar or array.
 
-    The spectral parameter is mu = a^2 * lambda; the two-term series
-    phi = u^k (1 + c2 u^2) supplies initial data past the cot singularity.
+    With l = k + (N-1)/2 this is the Gegenbauer function of degree n,
+    G_n = C^l_n / C^l_n(1) (DLMF 18.5); nu = n + k.  The series in
+    (1-t)/2 is summed at the two lowest degrees n0 = n - floor(n) and
+    n0 + 1, where its terms keep one sign past the second; the degree
+    recurrence (m + 2l) G_{m+1} = 2(m + l) t G_m - m G_{m-1} (DLMF 18.9),
+    of which G is not the minimal solution, then climbs to n.
     """
-    kk = k * (k + N - 2)
-    u0 = 1e-6 * theta
-    c2 = (k * (k + 2 * N - 3) / 3.0 - mu) / (2 * N + 4 * k)
-    y0 = [1.0 + c2 * u0 * u0, (k + (k + 2) * c2 * u0 * u0) / u0]  # scaled by u0^-k
+    n0 = n - math.floor(n)
+    half = k + (N - 1) / 2
 
-    def rhs(u, y):
-        phi, dphi = y
-        cot = math.cos(u) / math.sin(u)
-        ang = kk / math.sin(u) ** 2 if kk else 0.0
-        return [dphi, -(N - 1) * cot * dphi - (mu - ang) * phi]
+    def F(t):
+        z = (1 - t) / 2
+        prev = _series(-n0, n0 + 2 * half, half + 0.5, z)[0]
+        if n < 1:
+            return prev
+        cur = _series(-n0 - 1, n0 + 1 + 2 * half, half + 0.5, z)[0]
+        m = n0 + 1
+        while m < n - 0.5:
+            prev, cur, m = cur, (2 * (m + half) * t * cur - m * prev) / (m + 2 * half), m + 1
+        return cur
 
-    # for the dense (verification) solve, cap the step so the order-7
-    # interpolant error stays below the finite-difference residual floor
-    max_step = theta / 180.0 if dense else np.inf
-    sol = solve_ivp(rhs, (u0, theta), y0, method="DOP853", rtol=rtol, atol=1e-14,
-                    t_eval=t_eval, dense_output=dense, max_step=max_step)
-    if not sol.success:
-        raise SolverError(f"cap integration failed: {sol.message}")
-    return sol
-
-
-@lru_cache(maxsize=256)
-def _cap_mu_solve(N: int, theta: float, k: int, j: int, tol: float):
-    """Unit-radius cap solve in the spectral parameter mu = a^2 * lambda.
-
-    Cached: the mu-problem does not depend on the sphere radius, so callers
-    with different radii but the same (N, theta, k, j) reuse the solve.
-    """
-    fine_rtol = max(tol / 1e3, 1e-13)
-    counter = _EvalCounter()
-    u0 = 1e-6 * theta
-    count_grid = np.linspace(u0, theta, _COUNT_GRID)
-
-    def shoot_count(mu):
-        sol = _cap_ivp(mu, N, k, theta, _COARSE_RTOL, t_eval=count_grid)
-        return _effective_zero_count(sol.y[0]), float(sol.y[0][-1])
-
-    def shoot_end(mu):
-        sol = _cap_ivp(mu, N, k, theta, fine_rtol)
-        return sol.y[0][-1]
-
-    hi0 = 4.0 * N * max(1.0, (math.pi / (2 * theta)) ** 2)
-    lo, hi = _bracket_branch(shoot_count, j, hi0, counter)
-    mu = _refine_root(shoot_end, lo, hi, tol, counter)
-    sol = _cap_ivp(mu, N, k, theta, fine_rtol, t_eval=count_grid, dense=True)
-    zeros = _count_sign_changes(sol.y[0][:-1])
-    return mu, sol, zeros, counter.n
+    return F
 
 
 def cap_eigenvalue(N: int, a: float, theta: float, k: int = 0, j: int = 1,
                    tol: float = 1e-8) -> EigenResult:
     """j-th Dirichlet eigenvalue of the cap problem with angular index k.
 
-    Solved at unit radius in the spectral parameter mu = a^2 * lambda; the
-    eigenfunction is regular at the pole with indicial behaviour u^k.
+    The root nu - k is located to relative precision tol/1000; ``residual``
+    certifies the sampled eigenfunction against the ODE.
     """
     if N < 2 or not a > 0 or not 0 < theta < math.pi or k < 0 or j < 1 or not tol > 0:
         raise ValueError("invalid cap problem parameters")
-    u0 = 1e-6 * theta
-    mu, sol, zeros, iterations = _cap_mu_solve(N, float(theta), k, j, float(tol))
+    t_b = math.cos(theta)
+    half = k + (N - 1) / 2
+    u_window = math.acos(min(1.0, t_b + _WINDOW / math.sqrt(N)))
 
-    lam = mu / (a * a)
-    u_lo = max(0.05 * theta, 2 * u0)
-    span = a - a * math.cos(theta)
-    r_lo = a * math.cos(theta) + 1e-3 * span
-    r_hi = a * math.cos(u_lo)
-    r_grid = np.linspace(r_lo, r_hi, _GRID)
-    u_of_r = np.arccos(np.clip(r_grid / a, -1.0, 1.0))
-    h_grid = sol.sol(u_of_r)[0]
-    samples = np.column_stack([r_grid, h_grid])
+    def far_end(n):
+        # w = sin^((N-1)/2)(u) f solves w'' + (L^2 - M / sin^2 u) w = 0 with
+        # L = n + half and M = half (half - 1); below the turning point
+        # u* = asin(sqrt(M) / L) w is positive and convex, so no zero lies there
+        L, M = n + half, max(half * (half - 1), 0.0)
+        return min(u_window, math.asin(math.sqrt(M) / L)), math.sqrt(L * L - M)
 
-    u_min, u_max = sol.t[0], sol.t[-1]
+    def count_u(n):
+        u_far, wavenumber = far_end(n)
+        return np.linspace(u_far, theta, _count_points(theta - u_far, wavenumber))
+
+    n, iterations = _branch_root(lambda n: _cap_form(n, N, k)(np.cos(count_u(n))),
+                                 lambda n: float(_cap_form(n, N, k)(t_b)),
+                                 j, 2.0 * j, tol)
+    nu = n + k
+    F = _cap_form(n, N, k)
+    u = count_u(n)
+    values = F(np.cos(u))
+    zeros = _count_sign_changes(values[:-1])
+
+    # the weight is sin^(N-1)(u) and the profile sin^k(u) F; for odd k the
+    # factor sin^k(u) is not smooth at the pole, so stop at u = theta/4
+    with np.errstate(divide="ignore"):
+        log_amplitude = np.log(np.abs(values)) + half * np.log(np.sin(u))
+    span = a * (math.cos(max(_weighted_extent(u, log_amplitude), 0.25 * theta)) - t_b)
+    r_grid = np.linspace(a * t_b + 1e-3 * span, a * t_b + span, _GRID)
+    t_grid = r_grid / a
+    samples = np.column_stack([r_grid, (1.0 - t_grid ** 2) ** (k / 2) * F(t_grid)])
 
     def profile(r: float) -> float:
-        if r <= a * math.cos(theta) or r > a:
+        if r <= a * t_b or r > a:
             return 0.0
-        u = math.acos(min(1.0, r / a))
-        u = min(max(u, u_min), u_max)
-        return float(sol.sol(u)[0])
+        t = r / a
+        return float((1.0 - t * t) ** (k / 2) * F(t))
 
-    result = EigenResult(lam=lam, residual=math.nan, zeros=zeros,
+    result = EigenResult(lam=nu * (nu + N - 1) / (a * a), residual=math.nan, zeros=zeros,
                          samples=samples, iterations=iterations, profile=profile)
     problem = SturmLiouvilleSpec("cap", SphereSpec(N, a), theta, k, j)
     result.residual = ode_residual(result, problem)
@@ -291,105 +329,80 @@ def cap_eigenvalue(N: int, a: float, theta: float, k: int = 0, j: int = 1,
 # -- Gaussian half-line ---------------------------------------------------
 
 
-def _halfline_ivp(mu: float, alpha: float, R: float, L: float, rtol: float,
-                  t_eval=None, dense: bool = False):
-    """Integrate the Gaussian half-line ODE inward from the truncation point L.
+def _hermite_form(nu: float):
+    """x -> exp(x^2/4) D_nu(x), for a scalar or an array x.
 
-    Inward integration is the stable direction: the unwanted solution grows
-    like exp(r^2/(2 alpha^2)) outward.  The boundary condition at L matches
-    the recessive branch h ~ r^s (1 + c1/r^2 + c2/r^4 + ...), s = mu alpha^2,
-    with coefficients c_{m+1} = -alpha^2 (s-2m)(s-2m-1) c_m / (2(m+1)).
+    Below x = 2 from Kummer's functions (DLMF 12.4, 12.7).  From x = 2
+    on, the Laplace integral (DLMF 12.5) gives the function at the
+    two orders mu = nu - floor(nu) - 2 and mu - 1 below -1 as x^mu times a
+    mean of exp(-S^2/(2x^2)) over S ~ Gamma(-mu), taken by generalized
+    Gauss-Laguerre quadrature; the order recurrence (DLMF 12.8), of which
+    D_nu is not the minimal solution, then climbs to nu.  Neither step
+    cancels, unlike the Kummer sum at large x or scipy's pbdv next to
+    integer orders.
     """
-    a2 = alpha * alpha
-    s = mu * a2
-    c1 = -a2 * s * (s - 1.0) / 2.0
-    c2 = -a2 * (s - 2.0) * (s - 3.0) * c1 / 4.0
-    c3 = -a2 * (s - 4.0) * (s - 5.0) * c2 / 6.0
-    h_L = 1.0 + c1 / L ** 2 + c2 / L ** 4 + c3 / L ** 6
-    dh_L = (s + (s - 2.0) * c1 / L ** 2 + (s - 4.0) * c2 / L ** 4
-            + (s - 6.0) * c3 / L ** 6) / L
-    y0 = [h_L, dh_L]
+    kummer = math.sqrt(math.pi) * 2 ** (nu / 2)
+    even_c = kummer * rgamma((1 - nu) / 2)
+    odd_c = -math.sqrt(2) * kummer * rgamma(-nu / 2)
+    mu0 = nu - math.floor(nu) - 2
+    s0, w0 = roots_genlaguerre(_LAGUERRE, -mu0 - 1)
+    s1, w1 = roots_genlaguerre(_LAGUERRE, -mu0)
 
-    def rhs(r, y):
-        h, dh = y
-        return [dh, (r / a2) * dh - mu * h]
+    def h(x):
+        near = np.minimum(x, 2.0)
+        z = near * near / 2
+        small = (even_c * _series(-nu / 2, None, 0.5, z)[0]
+                 + odd_c * near * _series((1 - nu) / 2, None, 1.5, z)[0])
+        far = np.asarray(np.maximum(x, 2.0))[..., None]
+        mean0 = np.exp(-s0 ** 2 / (2 * far ** 2)) @ w0 / w0.sum()
+        mean1 = np.exp(-s1 ** 2 / (2 * far ** 2)) @ w1 / w1.sum()
+        far = far[..., 0]
+        prev, cur, mu = far ** (mu0 - 1) * mean1, far ** mu0 * mean0, mu0
+        while mu < nu - 0.5:
+            prev, cur, mu = cur, far * cur - mu * prev, mu + 1
+        return np.where(x < 2.0, small, cur)
 
-    # pure relative control: the recessive solution decays inward by several
-    # orders of magnitude and an absolute-tolerance floor would swamp the
-    # terminal value with noise
-    # for the dense (verification) solve, cap the step so the order-7
-    # interpolant error stays below the finite-difference residual floor
-    max_step = (L - alpha * R) / 180.0 if dense else np.inf
-    sol = solve_ivp(rhs, (L, alpha * R), y0, method="DOP853", rtol=rtol, atol=0.0,
-                    t_eval=t_eval, dense_output=dense, max_step=max_step)
-    if not sol.success:
-        raise SolverError(f"half-line integration failed: {sol.message}")
-    return sol
-
-
-def _halfline_mu(alpha: float, R: float, j: int, tol: float, cutoff: float,
-                 counter: _EvalCounter) -> tuple[float, float, float]:
-    L = alpha * R + cutoff * alpha
-    fine_rtol = max(tol / 1e3, 1e-13)
-    count_grid = np.linspace(L, alpha * R, _COUNT_GRID)
-
-    def shoot_count(mu):
-        sol = _halfline_ivp(mu, alpha, R, L, _COARSE_RTOL, t_eval=count_grid)
-        return _effective_zero_count(sol.y[0]), float(sol.y[0][-1])
-
-    def shoot_end(mu):
-        sol = _halfline_ivp(mu, alpha, R, L, fine_rtol)
-        return sol.y[0][-1]
-
-    lo, hi = _bracket_branch(shoot_count, j, 4.0 * j / (alpha * alpha), counter)
-    mu = _refine_root(shoot_end, lo, hi, tol, counter)
-    return mu, L, fine_rtol
+    return h
 
 
 def halfline_eigenvalue(alpha: float, R: float, k: int = 0, j: int = 1,
-                        tol: float = 1e-8, cutoff: float = 14.0) -> EigenResult:
+                        tol: float = 1e-8) -> EigenResult:
     """j-th Dirichlet eigenvalue on (alpha*R, inf) under the 1-D Gaussian measure.
 
-    The angular index enters only as the exact shift k/alpha^2.  The domain
-    truncation is re-run with a longer cutoff and must reproduce the
-    eigenvalue to tol/10, else the truncation is deemed insufficient.
+    The angular index enters only as the exact shift k/alpha^2.  The root nu
+    of D_nu(R) is located to relative precision tol/1000.
     """
     if not alpha > 0 or k < 0 or j < 1 or not tol > 0:
         raise ValueError("invalid half-line problem parameters")
-    counter = _EvalCounter()
-    mu, L, fine_rtol = _halfline_mu(alpha, R, j, tol, cutoff, counter)
-    mu_check, L2, _ = _halfline_mu(alpha, R, j, tol, cutoff + 2.0, counter)
-    if abs(mu_check - mu) > tol / 10.0 * max(1.0, abs(mu)):
-        raise SolverError(
-            f"truncation sensitivity {abs(mu_check - mu):.3g} exceeds {tol / 10:.3g}; "
-            "increase the cutoff")
-    mu, L = mu_check, L2
-    count_grid = np.linspace(L, alpha * R, _COUNT_GRID)
-    sol = _halfline_ivp(mu, alpha, R, L, fine_rtol, t_eval=count_grid, dense=True)
-    zeros = _count_sign_changes(sol.y[0][:-1])
 
-    lam = k / (alpha * alpha) + mu
-    span = L - alpha * R
-    # keep the verification grid away from the truncation point, where the
-    # small admixture of the exponentially growing solution injected by the
-    # approximate boundary condition has enormous higher derivatives
-    r_hi = L - 2.0 * alpha
-    r_grid = np.linspace(alpha * R + 1e-3 * span, r_hi, _GRID)
-    h_grid = sol.sol(r_grid)[0]
-    samples = np.column_stack([r_grid, h_grid])
+    def far_end(nu):
+        # D_nu has no zero past the turning point sqrt(4 nu + 2)
+        return max(R + _WINDOW, math.sqrt(4 * nu + 2))
 
-    s = mu * alpha * alpha
-    hL = float(sol.sol(L - 1e-9 * span)[0])
+    def count_x(nu):
+        far = far_end(nu)
+        return np.linspace(far, R, _count_points(far - R, math.sqrt(nu + 0.5)))
+
+    nu, iterations = _branch_root(lambda nu: _hermite_form(nu)(count_x(nu)),
+                                  lambda nu: float(_hermite_form(nu)(R)), j, 4.0 * j, tol)
+    h = _hermite_form(nu)
+    x = count_x(nu)
+    values = h(x)
+    zeros = _count_sign_changes(values[:-1])
+
+    # the weight is exp(-x^2/2), so the weighted profile is D_nu(x)
+    with np.errstate(divide="ignore"):
+        span = _weighted_extent(x, np.log(np.abs(values)) - x * x / 4) - R
+    x_grid = np.linspace(R + 1e-3 * span, R + span, _GRID)
+    samples = np.column_stack([alpha * x_grid, h(x_grid)])
 
     def profile(r: float) -> float:
         if r <= alpha * R:
             return 0.0
-        if r >= L:
-            return hL * (r / L) ** s  # recessive asymptote past the truncation
-        return float(sol.sol(r)[0])
+        return float(h(r / alpha))
 
-    result = EigenResult(lam=lam, residual=math.nan, zeros=zeros,
-                         samples=samples, iterations=counter.n, profile=profile)
+    result = EigenResult(lam=(nu + k) / (alpha * alpha), residual=math.nan, zeros=zeros,
+                         samples=samples, iterations=iterations, profile=profile)
     problem = SturmLiouvilleSpec("halfline", GaussSpec(1, alpha), R, k, j)
     result.residual = ode_residual(result, problem)
     if zeros != j - 1:
@@ -401,11 +414,13 @@ def halfline_eigenvalue(alpha: float, R: float, k: int = 0, j: int = 1,
 
 
 def nu_of_s(N: int, s: float, tol: float = 1e-7) -> float:
-    """Positive root nu of nu(nu + N - 1) = lambda(cap of volume fraction s)."""
+    """Positive root nu of nu(nu + N - 1) = lambda(cap of volume fraction s).
+
+    The cap of volume fraction s has sin^2(theta/2) = I^{-1}_s(N/2, N/2).
+    """
     if not 0 < s < 1:
         raise ValueError("s must lie in (0, 1)")
-    theta = brentq(lambda t: cap_volume_fraction(N, t) - s, 1e-9, math.pi - 1e-9,
-                   xtol=1e-13, rtol=8.9e-16)
+    theta = 2.0 * math.asin(math.sqrt(betaincinv(N / 2, N / 2, s)))
     lam = cap_eigenvalue(N, 1.0, theta, 0, 1, tol).lam
     b = N - 1
     return (-b + math.sqrt(b * b + 4.0 * lam)) / 2.0

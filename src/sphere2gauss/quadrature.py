@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import betainc
 
 from .geometry import SphereSpec, sphere_volume_log
 from .polyalg import LiftedPoly, RationalPoly
@@ -83,44 +84,14 @@ def integrate_gauss(f, alpha: float = 1.0, order: int = 64) -> float:
     return float(rule.weights @ vals)
 
 
-def _log_quad_positive(log_f, lo: float, hi: float, order: int, panels: int) -> float:
-    """log of the integral of exp(log_f) over (lo, hi), via log-sum-exp."""
-    rule = legendre_rule(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    logs = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2, (b - a) / 2
-        xs = mid + half * rule.nodes
-        g = np.array([log_f(x) for x in xs])
-        top = g.max()
-        if top == -math.inf:
-            continue
-        logs.append(top + math.log(half * float(rule.weights @ np.exp(g - top))))
-    if not logs:
-        return -math.inf
-    top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
-
-
-def cap_volume_fraction(N: int, theta: float, order: int = 64, panels: int = 16) -> float:
+def cap_volume_fraction(N: int, theta: float) -> float:
     """Volume fraction of the geodesic cap of aperture theta on the unit N-sphere.
 
-    Ratio of sine-power integrals, evaluated in the log domain so large N
-    does not underflow.  Symmetry across the equator is enforced exactly.
+    The regularized incomplete beta function I_{sin^2(theta/2)}(N/2, N/2).
     """
     if not 0 < theta < math.pi:
         raise ValueError("theta must lie in (0, pi)")
-    if theta == math.pi / 2:
-        return 0.5
-    if theta > math.pi / 2:
-        return 1.0 - cap_volume_fraction(N, math.pi - theta, order, panels)
-
-    def log_integrand(t):
-        return (N - 1) * math.log(math.sin(t)) if 0 < t < math.pi else -math.inf
-
-    log_num = _log_quad_positive(log_integrand, 0.0, theta, order, panels)
-    log_den = _log_quad_positive(log_integrand, 0.0, math.pi, order, panels)
-    return math.exp(log_num - log_den)
+    return float(betainc(N / 2, N / 2, math.sin(theta / 2) ** 2))
 
 
 # -- disc reduction ----------------------------------------------------
@@ -252,18 +223,12 @@ def lifted_norm_sq_exact(P: LiftedPoly, a: float) -> float:
 # -- Monte Carlo oracle --------------------------------------------------
 
 
-def sphere_sampler(N: int, a: float, seed: int = DEFAULT_SEED) -> np.random.Generator:
-    """Seeded generator for reproducible sphere sampling (PCG64 counter stream)."""
-    del N, a  # the generator itself is dimension-agnostic
-    return np.random.default_rng(seed)
-
-
 def sample_sphere(N: int, a: float, size: int,
                   rng: np.random.Generator | None = None,
                   seed: int = DEFAULT_SEED) -> np.ndarray:
     """Uniform samples on S^N(a): normalized (N+1)-vectors of standard Gaussians."""
     if rng is None:
-        rng = sphere_sampler(N, a, seed)
+        rng = np.random.default_rng(seed)
     g = rng.standard_normal((size, N + 1))
     return a * g / np.linalg.norm(g, axis=1, keepdims=True)
 

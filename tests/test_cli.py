@@ -152,3 +152,22 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("N,k,lhs,rhs,abs_err")
+
+
+@pytest.mark.parametrize("row", ["25,4.9", "25,4.9,x"])
+def test_malformed_schedule_row_exit_2(capsys, tmp_path, row):
+    sched = tmp_path / "schedule.csv"
+    sched.write_text(f"N,a_N,theta_N\n{row}\n")
+    code, out, err = _run(capsys, "converge-dirichlet", "--alpha", "1", "--R", "0.5",
+                          "--N", "25", "--schedule", str(sched))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {sched}:2: expected numeric N, a_N, theta_N\n"
+
+
+@pytest.mark.parametrize("argv", [("--a", "0"), ("--space", "gauss", "--alpha", "0")])
+def test_closed_spectrum_zero_scale_exit_2(capsys, argv):
+    code, out, err = _run(capsys, "closed-spectrum", "--kmax", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

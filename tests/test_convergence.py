@@ -58,6 +58,21 @@ def test_dirichlet_table_hemisphere_closed_form():
         assert row.residual_lhs < 1e-8 and row.residual_rhs < 1e-8
 
 
+def test_dirichlet_table_certifies_far_negative_slice():
+    # the profile spans a steep boundary layer here; both residual
+    # certificates must still accept the correct eigenvalues
+    rows = dirichlet_convergence_table(1.0, -3.0, [12, 24, 48], tol=1e-8)
+    assert all(row.hypotheses_ok for row in rows)
+    assert all(row.residual_lhs < 1e-8 and row.residual_rhs < 1e-8 for row in rows)
+
+
+def test_dirichlet_table_large_N():
+    rows = dirichlet_convergence_table(1.0, 0.5, [1_000, 10_000, 100_000], tol=1e-8)
+    errs = [row.abs_err for row in rows]
+    assert errs[0] > errs[1] > errs[2]
+    assert all(row.hypotheses_ok for row in rows)
+
+
 def test_dirichlet_table_skips_small_N():
     rows = dirichlet_convergence_table(1.0, 3.0, [5, 25], tol=1e-8)
     assert rows[0].note.startswith("skipped")
@@ -98,3 +113,5 @@ def test_closed_table_input_validation():
         closed_spectrum_table(0, 1, 2, [10])
     with pytest.raises(ValueError):
         closed_spectrum_table(1, 1, 2, [1])
+    with pytest.raises(ValueError):
+        closed_spectrum_table(1, 0, 2, [10])

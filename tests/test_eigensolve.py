@@ -1,11 +1,13 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
-from sphere2gauss.eigensolve import (EigenResult, SolverError, SturmLiouvilleSpec,
+from sphere2gauss.eigensolve import (EigenResult, SturmLiouvilleSpec,
                                      cap_eigenvalue, halfline_eigenvalue, nu_of_s,
                                      ode_residual)
-from sphere2gauss.geometry import SphereSpec
+from sphere2gauss.geometry import GaussSpec, SphereSpec
 
 
 @pytest.mark.parametrize("N", [2, 5, 11])
@@ -86,9 +88,40 @@ def test_residual_certificate_rejects_perturbation():
     assert ode_residual(bad, problem) > 1e-3
 
 
-def test_truncation_sensitivity_guard():
-    with pytest.raises(SolverError, match="truncation"):
-        halfline_eigenvalue(1.0, 0.0, 0, 4, tol=1e-10, cutoff=2.0)
+@pytest.mark.parametrize("kind, R, j, at", [("halfline", 0.0, 1, 2.0),
+                                             ("halfline", 5.0, 4, 5.5),
+                                             ("cap", math.pi / 2, 1, 0.5)])
+def test_residual_certificate_rejects_local_perturbation(kind, R, j, at):
+    # an error in three samples, 1e-9 relative, is rejected at tol 1e-8, also
+    # next to the boundary at R=5 where h is ~1e-13 of its size further out
+    if kind == "cap":
+        res = cap_eigenvalue(5, 1.0, R, 0, j)
+        problem = SturmLiouvilleSpec(kind, SphereSpec(5, 1.0), R, 0, j)
+    else:
+        res = halfline_eigenvalue(1.0, R, 0, j)
+        problem = SturmLiouvilleSpec(kind, GaussSpec(1, 1.0), R, 0, j)
+    assert res.residual < 1e-8
+    samples = res.samples.copy()
+    i = int(np.searchsorted(samples[:, 0], at))
+    samples[i:i + 3, 1] *= 1 + 1e-9
+    bad = EigenResult(lam=res.lam, residual=math.nan, zeros=res.zeros,
+                      samples=samples, iterations=0)
+    assert ode_residual(bad, problem) > 1e-8
+
+
+@pytest.mark.parametrize("j", [25, 40])
+def test_high_branches_keep_every_zero_in_the_window(j):
+    # the outermost zero of branch j lies near 2 sqrt(2j), past twelve weight
+    # widths from j ~ 21 on; the counted stretch must reach it
+    res = halfline_eigenvalue(1.0, 0.0, 0, j)
+    assert res.lam == pytest.approx(2 * j - 1, rel=1e-9)
+    assert res.zeros == j - 1
+    assert res.residual < 1e-8
+    N = 1000
+    cap = cap_eigenvalue(N, math.sqrt(N - 1), math.pi / 2, 0, j)
+    assert cap.lam == pytest.approx((2 * j - 1) * (2 * j - 2 + N) / (N - 1), rel=1e-9)
+    assert cap.zeros == j - 1
+    assert cap.residual < 1e-8
 
 
 def test_nu_of_half_is_one():
@@ -114,3 +147,68 @@ def test_input_validation():
         nu_of_s(3, 1.5)
     with pytest.raises(ValueError):
         SturmLiouvilleSpec("disk", SphereSpec(3, 1.0), 1.0)
+
+
+def _zeros_in_nu(f, count: int, start: float, step: float) -> list[float]:
+    """First ``count`` sign changes of f(nu) past ``start``, by scan and bracketed solve."""
+    roots, x, fx = [], start, f(start)
+    while len(roots) < count:
+        y = x + step
+        fy = f(y)
+        if (fx < 0) != (fy < 0):
+            roots.append(float(mpmath.findroot(f, (x, y), solver="anderson")))
+        x, fx = y, fy
+    return roots
+
+
+@pytest.mark.parametrize("N", [2, 5, 12, 48, 200, 1000])
+def test_cap_matches_hypergeometric_zeros(N):
+    # mpmath oracle: nu_j is the j-th zero in nu > k of
+    # 2F1(k-nu, nu+k+N-1; k+N/2; sin^2(theta/2)), and lambda_j = nu_j (nu_j+N-1)/a^2
+    a = math.sqrt(N - 1)
+    for R in (-3.0, -1.0, 0.5, 3.0, 5.0):
+        if abs(R) >= a:
+            continue
+        theta = math.acos(R / a)
+        for k in (0, 1, 2):
+            with mpmath.workdps(20):
+                z = mpmath.mpf(math.sin(theta / 2)) ** 2
+                zeros = _zeros_in_nu(
+                    lambda nu: mpmath.hyp2f1(k - nu, nu + k + N - 1, k + mpmath.mpf(N) / 2, z),
+                    3, k + 1e-9, 0.25)
+            for j, nu in enumerate(zeros, 1):
+                res = cap_eigenvalue(N, a, theta, k, j)
+                want = nu * (nu + N - 1) / a ** 2
+                assert res.lam == pytest.approx(want, rel=1e-9), (R, k, j)
+                assert res.zeros == j - 1
+                assert res.residual < 1e-8, (R, k, j, res.residual)
+
+
+@pytest.mark.parametrize("N, theta, k", [(500, 0.2086, 1), (2000, 0.5029, 0)])
+def test_small_cap_large_N_matches_hypergeometric_zero(N, theta, k):
+    # nu ~ 465 and ~ 1109: the series at order nu cancels past float64 here,
+    # the degree recurrence from the two lowest orders does not; towards the
+    # pole h grows by up to 1e116, where the weighted profile carries nothing
+    # and differences of the samples would not certify the correct lambda
+    res = cap_eigenvalue(N, 1.0, theta, k, 1)
+    nu = (1 - N + math.sqrt((N - 1) ** 2 + 4 * res.lam)) / 2
+    with mpmath.workdps(20):
+        z = mpmath.mpf(math.sin(theta / 2)) ** 2
+        ref = float(mpmath.findroot(
+            lambda v: mpmath.hyp2f1(k - v, v + k + N - 1, k + mpmath.mpf(N) / 2, z),
+            (nu * (1 - 1e-6), nu * (1 + 1e-6)), solver="anderson"))
+    assert res.lam == pytest.approx(ref * (ref + N - 1), rel=1e-9)
+    assert res.residual < 1e-8
+
+
+def test_halfline_matches_parabolic_cylinder_zeros():
+    # mpmath oracle: lambda_j = nu_j / alpha^2, nu_j the j-th zero of D_nu(R)
+    for R in (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0):
+        with mpmath.workdps(20):
+            zeros = _zeros_in_nu(lambda nu: mpmath.pcfd(nu, R), 4, 1e-9, 0.1)
+        for j, nu in enumerate(zeros, 1):
+            for alpha in (1.0, 1.5):
+                res = halfline_eigenvalue(alpha, R, 0, j)
+                assert res.lam == pytest.approx(nu / alpha ** 2, rel=1e-9), (R, j)
+                assert res.zeros == j - 1
+                assert res.residual < 1e-8, (R, j, res.residual)

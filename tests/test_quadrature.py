@@ -53,6 +53,9 @@ def test_cap_volume_fraction_closed_forms():
     for theta in (0.3, 1.0, 2.5):
         assert cap_volume_fraction(2, theta) == pytest.approx(
             (1 - math.cos(theta)) / 2, rel=1e-10)
+        # S^3: fraction = (theta - sin(theta) cos(theta)) / pi
+        assert cap_volume_fraction(3, theta) == pytest.approx(
+            (theta - math.sin(theta) * math.cos(theta)) / math.pi, rel=1e-10)
     # monotone in the aperture
     vals = [cap_volume_fraction(5, t) for t in (0.5, 1.0, 1.5, 2.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
