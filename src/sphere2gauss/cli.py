@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 computational failure (solver bracketing,
 truncation sensitivity, residual above tolerance), 2 usage error.  Errors
 go to stderr as a single machine-readable line prefixed ``error:``.
 
+The eigenvalue handlers import the solvers when they run: ``eigensolve``
+loads NumPy and SciPy, which the exact subcommands never need.
+
 Floats are printed in scientific notation with 17 significant digits;
 exact rational columns are printed as ``p/q`` strings.  JSON output is one
 object ``{meta, rows}`` whose rows mirror the CSV rows.
@@ -18,9 +21,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, _bind
 from .convergence import closed_spectrum_table, dirichlet_convergence_table
-from .eigensolve import SolverError, cap_eigenvalue, halfline_eigenvalue, nu_of_s
 from .harmonics import (build_P, build_Q_gauss, build_Q_sphere, check_harmonic,
                         ou_apply, projected_eigenspace_dimension)
 from .heatflow import (SpectralCoefficients, gauss_basis, heat_convergence_table,
@@ -89,8 +91,11 @@ def _read_coeffs(path: str, n: int) -> dict:
             parts = line.split()
             if len(parts) != n + 1:
                 raise ValueError(f"{path}:{lineno}: expected {n} indices and a value")
-            K = _parse_multi_index(parts[:n])
-            entries[K] = float(parts[n])
+            try:
+                entries[_parse_multi_index(parts[:n])] = float(parts[n])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected integer indices and a "
+                                 "numeric value") from None
     return entries
 
 
@@ -115,9 +120,17 @@ def _read_schedule(path: str):
     return schedule
 
 
+def _rational(text: str, option: str) -> Fraction:
+    """A rational option value such as ``3`` or ``1/2``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} must be a rational number, got {text}") from None
+
+
 def _positive_square(text: str, option: str) -> Fraction:
     """Square of a positive rational option value such as a radius or a scale."""
-    value = Fraction(text)
+    value = _rational(text, option)
     if value <= 0:
         raise ValueError(f"{option} must be positive, got {text}")
     return value ** 2
@@ -125,7 +138,7 @@ def _positive_square(text: str, option: str) -> Fraction:
 
 def _eigen_row(result, tol: float) -> tuple[dict, bool]:
     """Row for an eigenvalue, or an error record if the certificate fails."""
-    if result.residual > tol:
+    if not result.residual <= tol:
         return ({"error": f"residual {result.residual:.3g} exceeds tolerance {tol:.3g}"},
                 False)
     return ({"lambda": result.lam, "residual": result.residual,
@@ -156,7 +169,7 @@ def _cmd_closed_spectrum(args) -> int:
 
 
 def _cmd_converge_closed(args) -> int:
-    table = closed_spectrum_table(args.n, Fraction(args.alpha), args.kmax, args.N)
+    table = closed_spectrum_table(args.n, _rational(args.alpha, "--alpha"), args.kmax, args.N)
     rows = [{"N": r.N, "k": r.k, "lhs": r.lhs, "rhs": r.rhs, "abs_err": r.abs_err}
             for r in table]
     _emit(args, ["N", "k", "lhs", "rhs", "abs_err"], rows,
@@ -168,6 +181,7 @@ def _cmd_converge_closed(args) -> int:
 
 
 def _cmd_cap_eigen(args) -> int:
+    cap_eigenvalue = _bind(globals(), "cap_eigenvalue")
     result = cap_eigenvalue(args.N, args.a, args.theta, args.k, args.j, args.tol)
     row, ok = _eigen_row(result, args.tol)
     row.update({"N": args.N, "a": args.a, "theta": args.theta,
@@ -178,6 +192,7 @@ def _cmd_cap_eigen(args) -> int:
 
 
 def _cmd_halfspace_eigen(args) -> int:
+    halfline_eigenvalue = _bind(globals(), "halfline_eigenvalue")
     result = halfline_eigenvalue(args.alpha, args.R, args.k, args.j, args.tol)
     row, ok = _eigen_row(result, args.tol)
     row.update({"alpha": args.alpha, "R": args.R, "k": args.k, "j": args.j})
@@ -209,6 +224,7 @@ def _cmd_converge_dirichlet(args) -> int:
 
 
 def _cmd_nu(args) -> int:
+    nu_of_s = _bind(globals(), "nu_of_s")
     rows = [{"N": N, "s": args.s, "nu": nu_of_s(N, args.s, args.tol)}
             for N in range(args.N_from, args.N_to + 1)]
     _emit(args, ["N", "s", "nu"], rows, _meta(args, "nu"))
@@ -266,7 +282,7 @@ def _verify_ou() -> bool:
                 for K in enumerate_multi_indices(n, k):
                     Q = build_Q_gauss(n, K, alpha2)
                     lhs = ou_apply(Q, alpha2)
-                    rhs = Q * Fraction(-k, 1) / alpha2
+                    rhs = Q * (Fraction(-k) / alpha2)
                     if lhs != rhs:
                         return False
     return True
@@ -305,9 +321,9 @@ def _cmd_dump_poly(args) -> int:
     if args.which == "P":
         poly = build_P(args.N, n, K)
     elif args.which == "Q-sphere":
-        poly = build_Q_sphere(args.N, n, K, Fraction(args.a) ** 2)
+        poly = build_Q_sphere(args.N, n, K, _rational(args.a, "--a") ** 2)
     else:
-        poly = build_Q_gauss(n, K, Fraction(args.alpha) ** 2)
+        poly = build_Q_gauss(n, K, _rational(args.alpha, "--alpha") ** 2)
     print(dumps_lifted(poly) if isinstance(poly, LiftedPoly) else dumps(poly))
     return 0
 
@@ -430,8 +446,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (SolverError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # float overflow inside a solve
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

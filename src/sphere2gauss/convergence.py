@@ -11,6 +11,10 @@ theta_N = arccos(alpha*R / a_N), under which
 
 Custom schedules may be supplied as explicit (N, a_N, theta_N) triples, in
 which case the hypotheses are checked rather than guaranteed.
+
+The numerical harnesses import the solvers, the quadrature and NumPy when
+they run, so that the exact table loads none of them.  The two solvers are
+then bound as names of this module, as a top-level import would bind them.
 """
 
 from __future__ import annotations
@@ -20,11 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .eigensolve import cap_eigenvalue, halfline_eigenvalue
+from . import _bind
 from .geometry import normalization_Z, SphereSpec
-from .quadrature import integrate_interval
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,8 @@ def dirichlet_convergence_table(alpha: float, R: float, N_list: Sequence[int],
     a diagnostic note instead of an eigenvalue.  A row is marked invalid
     (hypotheses_ok False) if either residual certificate exceeds tol.
     """
-    limit = halfline_eigenvalue(alpha, R, 0, 1, tol)
+    cap_eigenvalue = _bind(globals(), "cap_eigenvalue")
+    limit = _bind(globals(), "halfline_eigenvalue")(alpha, R, 0, 1, tol)
     rows = []
     for N in N_list:
         try:
@@ -163,8 +165,10 @@ def proof_identities(alpha: float, R: float, N: int,
     int r^2 h_N^2 w_N dr is bounded by (2 a_N^2/N)(1 + 2 a_N^2 lambda_N/N).
     The derivative is taken by central differences of the closed-form profile.
     """
+    from .quadrature import integrate_interval
+
     aN, thetaN = canonical_schedule(alpha, R, N)
-    cap = cap_eigenvalue(N, aN, thetaN, 0, 1, tol)
+    cap = _bind(globals(), "cap_eigenvalue")(N, aN, thetaN, 0, 1, tol)
     lo = alpha * R
     w_N = _sphere_weight(N, aN)
     h = _normalize_positive(cap.profile, w_N, lo, aN, order=64, panels=32)
@@ -202,6 +206,8 @@ def _sphere_weight(N: int, aN: float):
 def _normalize_positive(profile, weight, lo: float, hi: float, order: int,
                         panels: int):
     """Scale so the weighted square integrates to 1; flip to the positive sign."""
+    from .quadrature import integrate_interval
+
     norm2 = integrate_interval(lambda r: profile(r) ** 2 * weight(r), (lo, hi),
                                order=order, panels=panels)
     c = 1.0 / math.sqrt(norm2)
@@ -221,9 +227,13 @@ def eigenfunction_comparison(alpha: float, R: float, N: int,
     L2(gamma^1_alpha) norm.  Both are taken positive, so the distances are
     insensitive to solver sign conventions.
     """
+    import numpy as np
+
+    from .quadrature import integrate_interval
+
     aN, thetaN = canonical_schedule(alpha, R, N)
-    cap = cap_eigenvalue(N, aN, thetaN, 0, 1, tol)
-    inf = halfline_eigenvalue(alpha, R, 0, 1, tol)
+    cap = _bind(globals(), "cap_eigenvalue")(N, aN, thetaN, 0, 1, tol)
+    inf = _bind(globals(), "halfline_eigenvalue")(alpha, R, 0, 1, tol)
 
     lo = alpha * R
     a2 = alpha * alpha

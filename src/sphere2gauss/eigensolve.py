@@ -12,18 +12,18 @@ Two boundary-value problems are handled:
 
 Each eigenvalue is the root in nu of the closed form at the boundary.  The
 branch j is isolated by oscillation-count bisection on the profile sampled
-past the boundary; one Brent root-find then locates nu.
+past the boundary; one Brent-Dekker root-find then locates nu.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import brentq
 from scipy.special import betaincinv, rgamma, roots_genlaguerre
 
 from .geometry import GaussSpec, SphereSpec
@@ -62,7 +62,7 @@ class EigenResult:
     profile: Callable[[float], float] = field(repr=False, default=None)
 
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _GRID = 1024  # verification-grid size
 _COUNT_GRID = 160  # least sampling density used for interior zero counting
 _LAGUERRE = 40  # quadrature nodes for the half-line Laplace integrals
@@ -147,6 +147,65 @@ def _bracket_branch(count, j: int, hi0: float, max_grow: int = 60):
     return lo, hi
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f between xa and xb by the Brent-Dekker iteration of scipy's brentq.
+
+    A step-for-step port of scipy.optimize.brentq (Brent 1973, ch. 4): the
+    same choice between inverse interpolation and bisection, the same
+    tolerance xtol + rtol |x| and the same evaluations, so the same float
+    comes out.  Where C divides by zero it gets an inf or nan step, which
+    fails the step test; here that step is bisection too.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise SolverError(f"boundary value is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SolverError(f"boundary values do not change sign across [{xa:g}, {xb:g}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect unless interpolation gives a short enough step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise SolverError(f"root not isolated to tolerance in {maxiter} steps")
+
+
 def _branch_root(on_grid, at_boundary, j: int, hi0: float, tol: float):
     """Root of branch j and the number of closed-form evaluations it took.
 
@@ -167,11 +226,7 @@ def _branch_root(on_grid, at_boundary, j: int, hi0: float, tol: float):
         return at_boundary(x)
 
     lo, hi = _bracket_branch(count, j, hi0)
-    try:
-        root = brentq(end, lo, hi, xtol=np.finfo(float).tiny,
-                      rtol=max(1e-3 * tol, 4 * _EPS))
-    except ValueError as exc:
-        raise SolverError(f"boundary values do not change sign across [{lo:g}, {hi:g}]") from exc
+    root = _brentq(end, lo, hi, xtol=sys.float_info.min, rtol=max(1e-3 * tol, 4 * _EPS))
     return root, calls
 
 
@@ -276,7 +331,7 @@ def cap_eigenvalue(N: int, a: float, theta: float, k: int = 0, j: int = 1,
     The root nu - k is located to relative precision tol/1000; ``residual``
     certifies the sampled eigenfunction against the ODE.
     """
-    if N < 2 or not a > 0 or not 0 < theta < math.pi or k < 0 or j < 1 or not tol > 0:
+    if N < 2 or not 0 < a < math.inf or not 0 < theta < math.pi or k < 0 or j < 1 or not tol > 0:
         raise ValueError("invalid cap problem parameters")
     t_b = math.cos(theta)
     half = k + (N - 1) / 2
@@ -372,7 +427,7 @@ def halfline_eigenvalue(alpha: float, R: float, k: int = 0, j: int = 1,
     The angular index enters only as the exact shift k/alpha^2.  The root nu
     of D_nu(R) is located to relative precision tol/1000.
     """
-    if not alpha > 0 or k < 0 or j < 1 or not tol > 0:
+    if not 0 < alpha < math.inf or not math.isfinite(R) or k < 0 or j < 1 or not tol > 0:
         raise ValueError("invalid half-line problem parameters")
 
     def far_end(nu):

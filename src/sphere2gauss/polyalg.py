@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 

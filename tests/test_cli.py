@@ -165,9 +165,53 @@ def test_malformed_schedule_row_exit_2(capsys, tmp_path, row):
     assert err == f"error: {sched}:2: expected numeric N, a_N, theta_N\n"
 
 
-@pytest.mark.parametrize("argv", [("--a", "0"), ("--space", "gauss", "--alpha", "0")])
+@pytest.mark.parametrize("argv", [
+    ("closed-spectrum", "--kmax", "2", "--a", "0"),
+    ("closed-spectrum", "--kmax", "2", "--space", "gauss", "--alpha", "0"),
+    # rational options with a zero denominator
+    ("closed-spectrum", "--kmax", "2", "--a", "1/0"),
+    ("closed-spectrum", "--kmax", "2", "--space", "gauss", "--alpha", "1/0"),
+    ("converge-closed", "--n", "1", "--kmax", "2", "--N", "5", "--alpha", "1/0"),
+    ("dump-poly", "--which", "Q-sphere", "--K", "1", "--a", "1/0"),
+    ("dump-poly", "--which", "Q-gauss", "--K", "1", "--alpha", "1/0"),
+])
 def test_closed_spectrum_zero_scale_exit_2(capsys, argv):
-    code, out, err = _run(capsys, "closed-spectrum", "--kmax", "2", *argv)
+    code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("R", ["nan", "inf", "-1e400"])
+def test_halfspace_eigen_non_finite_boundary_exit_2(capsys, R):
+    code, out, err = _run(capsys, "halfspace-eigen", "--alpha", "1", f"--R={R}")
+    assert code == 2
+    assert out == ""
+    assert err == "error: invalid half-line problem parameters\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy's overflow warnings
+def test_halfspace_eigen_overflow_exit_1(capsys):
+    # a finite boundary so far out that the closed form overflows float64
+    code, out, err = _run(capsys, "halfspace-eigen", "--alpha", "1", "--R", "1e308")
+    assert code == 1
+    assert out == ""
+    assert err == "error: OverflowError: (34, 'Numerical result out of range')\n"
+
+
+@pytest.mark.parametrize("command", [["heat", "--t", "1"], ["cheeger"]])
+@pytest.mark.parametrize("line", ["0 abc", "x 1.0"])
+def test_coeffs_non_numeric_entry_reports_its_line(capsys, tmp_path, command, line):
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text(f"# k value\n1 2.0\n{line}\n")
+    code, out, err = _run(capsys, *command, "--alpha", "1", "--N", "10",
+                          "--coeffs", str(coeffs))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {coeffs}:3: expected integer indices and a numeric value\n"
+
+
+def test_verify_ou_suite(capsys):
+    code, out, _ = _run(capsys, "verify", "--suite", "ou")
+    assert code == 0
+    assert out == "PASS ou n<=4 |K|<=6 alpha2 in {1,2,1/2}\n"

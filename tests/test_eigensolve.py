@@ -1,10 +1,13 @@
 import math
+import random
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import brentq  # test-only oracle for the root step
 
-from sphere2gauss.eigensolve import (EigenResult, SturmLiouvilleSpec,
+from sphere2gauss.eigensolve import (EigenResult, SolverError, SturmLiouvilleSpec, _brentq,
                                      cap_eigenvalue, halfline_eigenvalue, nu_of_s,
                                      ode_residual)
 from sphere2gauss.geometry import GaussSpec, SphereSpec
@@ -212,3 +215,103 @@ def test_halfline_matches_parabolic_cylinder_zeros():
                 assert res.lam == pytest.approx(nu / alpha ** 2, rel=1e-9), (R, j)
                 assert res.zeros == j - 1
                 assert res.residual < 1e-8, (R, j, res.residual)
+
+
+# -- the Brent-Dekker root step, against scipy's brentq as an oracle ------------
+
+XTOL = sys.float_info.min  # the solvers' tolerances
+RTOLS = (4 * sys.float_info.epsilon, 1e-11, 1e-6)
+
+
+def _counted(f):
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
+def _both(f, a, b, rtol, maxiter=100):
+    """scipy's brentq and the port on one bracket: (root bits or "failed", evaluations)."""
+    g, h = _counted(f), _counted(f)
+    try:
+        want = brentq(g, a, b, xtol=XTOL, rtol=rtol, maxiter=maxiter).hex()
+    except (ValueError, RuntimeError):
+        want = "failed"
+    try:
+        got = _brentq(h, a, b, XTOL, rtol, maxiter)
+        assert type(got) is float
+        got = got.hex()
+    except SolverError:
+        got = "failed"
+    return (want, g.calls), (got, h.calls)
+
+
+BRENT_CASES = [
+    (lambda x: math.cos(x) - x, 0.0, 2.0),
+    (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+    (lambda x: math.exp(x) - 1e6, 0.0, 30.0),
+    (lambda x: math.atan(1e4 * (x - 0.123456789)), -1.0, 1.0),
+    (lambda x: (x - 0.7) ** 5, 0.0, 1.0),  # at rtol 4 eps both run out of steps
+    (lambda x: -1.0 if x < 1 / 3 else 1.0, 0.0, 1.0),  # a jump: bisection only
+    # values of order 1e-160: the inverse-quadratic denominator underflows to
+    # zero, where C gets an inf or nan step and bisects
+    (lambda x: 1e-160 * (x ** 3 - 0.027), 0.0, 1.0),
+    (lambda x: 1e-300 * (x - 0.3) * (1 + x), 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("rtol", RTOLS)
+@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+def test_brent_step_matches_scipy_bits_and_evaluations(case, rtol):
+    want, got = _both(*BRENT_CASES[case], rtol)
+    assert got == want
+
+
+def test_brent_step_matches_scipy_on_random_brackets():
+    rng = random.Random(7)
+    for _ in range(300):
+        c, s, p = rng.uniform(-2, 2), 10 ** rng.uniform(-200, 200), rng.choice((1, 3, 5))
+        # odd p: the sign is that of x - c, the only root
+        f = lambda x, c=c, s=s, p=p: s * (x - c) * (1 + math.sin(3 * x) ** 2 + (x - c) ** (p - 1))
+        a, b = c - rng.uniform(1e-3, 3), c + rng.uniform(1e-3, 3)
+        want, got = _both(f, a, b, rng.choice(RTOLS))
+        assert want[0] != "failed" and got == want, (c, s, p, a, b)
+
+
+def test_brent_step_root_at_an_endpoint():
+    for a, b in ((0.5, 2.0), (-1.0, 0.5)):
+        want, got = _both(lambda x: x - 0.5, a, b, 1e-11)
+        assert got == want == ((0.5).hex(), 2)
+
+
+def test_brent_step_refuses_equal_signs_nan_and_exhaustion():
+    with pytest.raises(SolverError, match="do not change sign"):
+        _brentq(lambda x: x * x + 1, -1.0, 1.0, XTOL, 1e-11)
+    with pytest.raises(SolverError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, XTOL, 1e-11)
+    with pytest.raises(SolverError, match="NaN"):  # NaN at an interior step
+        _brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.45, 0.0, 1.0, XTOL, 1e-11)
+    with pytest.raises(SolverError, match="in 3 steps"):
+        _brentq(lambda x: math.cos(x) - x, 0.0, 2.0, XTOL, 1e-11, maxiter=3)
+    # scipy fails on each of these after the same number of evaluations
+    for f, a, b, maxiter in ((lambda x: x * x + 1, -1.0, 1.0, 100),
+                             (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.45, 0.0, 1.0, 100),
+                             (lambda x: math.cos(x) - x, 0.0, 2.0, 3)):
+        want, got = _both(f, a, b, 1e-11, maxiter)
+        assert got == want and want[0] == "failed"
+
+
+def test_eigenvalues_are_python_floats():
+    assert type(cap_eigenvalue(5, 1.0, 1.0).lam) is float
+    assert type(halfline_eigenvalue(1.0, 0.5).lam) is float
+    assert type(nu_of_s(6, 0.3)) is float
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_halfline_rejects_non_finite_boundary(R):
+    with pytest.raises(ValueError):
+        halfline_eigenvalue(1.0, R)
+    with pytest.raises(ValueError):
+        halfline_eigenvalue(math.inf, 0.0 if math.isnan(R) else 1.0)
