@@ -26,9 +26,8 @@ _EXPORTS = {
     "harmonics": ("HarmonicLiftFamily", "build_family", "build_P", "build_Q_gauss",
                   "build_Q_sphere", "check_harmonic", "hermite", "ou_apply",
                   "projected_eigenspace_dimension"),
-    "heatflow": ("BasisTag", "HeatRow", "SpectralCoefficients", "energy", "gauss_basis",
-                 "heat_convergence_table", "heat_evolve", "l2_norm", "recovery_sequence",
-                 "sphere_basis"),
+    "heatflow": ("BasisTag", "HeatRow", "SpectralCoefficients", "gauss_basis",
+                 "heat_convergence_table", "heat_evolve", "recovery_sequence", "sphere_basis"),
     "indices": ("MultiIndex", "SpectrumIndex", "enumerate_multi_indices",
                 "gauss_multiplicity", "sphere_multiplicity"),
     "polyalg": ("LiftedPoly", "RationalPoly", "dumps", "euler_pairing", "laplacian",

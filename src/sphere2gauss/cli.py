@@ -9,7 +9,8 @@ loads NumPy and SciPy, which the exact subcommands never need.
 
 Floats are printed in scientific notation with 17 significant digits;
 exact rational columns are printed as ``p/q`` strings.  JSON output is one
-object ``{meta, rows}`` whose rows mirror the CSV rows.
+object ``{meta, rows}``: the rows mirror the CSV rows, and ``meta`` holds the
+subcommand, the package version and the parsed options.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import __version__, _bind
@@ -29,9 +30,6 @@ from .heatflow import (SpectralCoefficients, gauss_basis, heat_convergence_table
                        recovery_sequence)
 from .indices import MultiIndex, enumerate_multi_indices, gauss_multiplicity, sphere_multiplicity
 from .polyalg import LiftedPoly, dumps, dumps_lifted
-
-
-DEFAULT_SEED = 42
 
 
 def _fmt(v) -> str:
@@ -46,11 +44,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, columns: list[str], rows: list[dict], meta: dict) -> None:
+def _emit(args, columns: list[str], rows: list[dict]) -> None:
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     try:
         if args.format == "json":
-            payload = {"meta": meta,
+            payload = {"meta": _meta(args),
                        "rows": [{c: _fmt(r.get(c, "")) for c in columns} for r in rows]}
             json.dump(payload, out, indent=2)
             out.write("\n")
@@ -72,8 +70,16 @@ def _emit_plot(path: str, pairs: list[tuple]) -> None:
             writer.writerow([_fmt(x), _fmt(y)])
 
 
-def _meta(args, command: str) -> dict:
-    return {"command": command, "seed": args.seed, "version": __version__}
+def _meta(args) -> dict:
+    """The subcommand, the package version and every parsed option."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
+    return {"command": args.command, "version": __version__, "options": options}
+
+
+def _fail(message: str) -> int:
+    """Report a failure on stderr as one ``error:`` line; exit code 1."""
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def _parse_multi_index(tokens: list[str]) -> MultiIndex:
@@ -162,7 +168,7 @@ def _cmd_closed_spectrum(args) -> int:
             rows.append({"k": k, "lambda": Fraction(k) / alpha2,
                          "multiplicity": gauss_multiplicity(args.n, k)})
         columns = ["k", "lambda", "multiplicity"]
-    _emit(args, columns, rows, _meta(args, "closed-spectrum"))
+    _emit(args, columns, rows)
     if args.emit_plot_data:
         _emit_plot(args.emit_plot_data, [(r["k"], r["lambda"]) for r in rows])
     return 0
@@ -172,8 +178,7 @@ def _cmd_converge_closed(args) -> int:
     table = closed_spectrum_table(args.n, _rational(args.alpha, "--alpha"), args.kmax, args.N)
     rows = [{"N": r.N, "k": r.k, "lhs": r.lhs, "rhs": r.rhs, "abs_err": r.abs_err}
             for r in table]
-    _emit(args, ["N", "k", "lhs", "rhs", "abs_err"], rows,
-          _meta(args, "converge-closed"))
+    _emit(args, ["N", "k", "lhs", "rhs", "abs_err"], rows)
     if args.emit_plot_data:
         _emit_plot(args.emit_plot_data,
                    [(r["N"], r["abs_err"]) for r in rows if r["k"] == args.kmax])
@@ -187,8 +192,8 @@ def _cmd_cap_eigen(args) -> int:
     row.update({"N": args.N, "a": args.a, "theta": args.theta,
                 "k": args.k, "j": args.j})
     _emit(args, ["N", "a", "theta", "k", "j", "lambda", "residual", "zeros",
-                 "iterations", "error"], [row], _meta(args, "cap-eigen"))
-    return 0 if ok else 1
+                 "iterations", "error"], [row])
+    return 0 if ok else _fail(row["error"])
 
 
 def _cmd_halfspace_eigen(args) -> int:
@@ -197,15 +202,15 @@ def _cmd_halfspace_eigen(args) -> int:
     row, ok = _eigen_row(result, args.tol)
     row.update({"alpha": args.alpha, "R": args.R, "k": args.k, "j": args.j})
     _emit(args, ["alpha", "R", "k", "j", "lambda", "residual", "zeros",
-                 "iterations", "error"], [row], _meta(args, "halfspace-eigen"))
-    return 0 if ok else 1
+                 "iterations", "error"], [row])
+    return 0 if ok else _fail(row["error"])
 
 
 def _cmd_converge_dirichlet(args) -> int:
     schedule = _read_schedule(args.schedule) if args.schedule else None
     table = dirichlet_convergence_table(args.alpha, args.R, args.N, args.tol,
                                         schedule=schedule)
-    rows, ok = [], True
+    rows, failed = [], []
     for r in table:
         row = {"N": r.N, "lhs": r.lhs, "rhs": r.rhs, "abs_err": r.abs_err,
                "residual_lhs": r.residual_lhs, "residual_rhs": r.residual_rhs,
@@ -213,21 +218,21 @@ def _cmd_converge_dirichlet(args) -> int:
         if not r.note and (r.residual_lhs > args.tol or r.residual_rhs > args.tol):
             row = {"N": r.N, "note": r.note,
                    "error": "residual exceeds tolerance"}
-            ok = False
+            failed.append(str(r.N))
         rows.append(row)
     _emit(args, ["N", "lhs", "rhs", "abs_err", "residual_lhs", "residual_rhs",
-                 "hyp_ok", "note", "error"], rows, _meta(args, "converge-dirichlet"))
+                 "hyp_ok", "note", "error"], rows)
     if args.emit_plot_data:
         _emit_plot(args.emit_plot_data,
                    [(r["N"], r["abs_err"]) for r in rows if "abs_err" in r])
-    return 0 if ok else 1
+    return _fail(f"residual exceeds tolerance at N = {', '.join(failed)}") if failed else 0
 
 
 def _cmd_nu(args) -> int:
     nu_of_s = _bind(globals(), "nu_of_s")
     rows = [{"N": N, "s": args.s, "nu": nu_of_s(N, args.s, args.tol)}
             for N in range(args.N_from, args.N_to + 1)]
-    _emit(args, ["N", "s", "nu"], rows, _meta(args, "nu"))
+    _emit(args, ["N", "s", "nu"], rows)
     if args.emit_plot_data:
         _emit_plot(args.emit_plot_data, [(r["N"], r["nu"]) for r in rows])
     return 0
@@ -240,8 +245,7 @@ def _cmd_heat(args) -> int:
     rows = [{"N": r.N, "l2_distance": r.l2_distance,
              "energy_sphere": r.energy_sphere, "energy_gauss": r.energy_gauss}
             for r in table]
-    _emit(args, ["N", "l2_distance", "energy_sphere", "energy_gauss"], rows,
-          _meta(args, "heat"))
+    _emit(args, ["N", "l2_distance", "energy_sphere", "energy_gauss"], rows)
     if args.emit_plot_data:
         _emit_plot(args.emit_plot_data, [(r["N"], r["l2_distance"]) for r in rows])
     return 0
@@ -259,7 +263,7 @@ def _cmd_cheeger(args) -> int:
         rows.append({"N": N, "energy_sphere": e_sphere, "energy_gauss": e_gauss,
                      "rel_err": rel, "l2_norm_recovery": g.l2_norm()})
     _emit(args, ["N", "energy_sphere", "energy_gauss", "rel_err",
-                 "l2_norm_recovery"], rows, _meta(args, "cheeger"))
+                 "l2_norm_recovery"], rows)
     return 0
 
 
@@ -306,13 +310,14 @@ _SUITES = {
 
 def _cmd_verify(args) -> int:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    failed = False
+    failed = []
     for name in suites:
         fn, label = _SUITES[name]
         ok = fn()
         print(("PASS " if ok else "FAIL ") + label)
-        failed |= not ok
-    return 1 if failed else 0
+        if not ok:
+            failed.append(name)
+    return _fail(f"verification failed: {', '.join(failed)}") if failed else 0
 
 
 def _cmd_dump_poly(args) -> int:
@@ -334,8 +339,6 @@ def _cmd_dump_poly(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("SPHERE2GAUSS_SEED", DEFAULT_SEED)))
     p.add_argument("--emit-plot-data", metavar="PATH",
                    help="also write (x, y) CSV pairs to PATH")
 
@@ -444,17 +447,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.handler(args)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:  # float overflow inside a solve
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # a failure is reported by its one error line alone, so the warnings a
+    # run raises (NumPy's float overflow, say) are shown only if it succeeds
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.handler(args)
+        except RuntimeError as exc:
+            return _fail(str(exc))
+        except ArithmeticError as exc:  # float overflow inside a solve
+            return _fail(f"{type(exc).__name__}: {exc}")
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    if code == 0:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

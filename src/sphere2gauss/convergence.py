@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _bind
-from .geometry import normalization_Z, SphereSpec
+from .geometry import SphereSpec, log_weight_sphere
 
 
 @dataclass(frozen=True)
@@ -191,16 +191,9 @@ def proof_identities(alpha: float, R: float, N: int,
 
 
 def _sphere_weight(N: int, aN: float):
-    """w_N(r) = s_N^{N/2-1} / int_{-aN}^{aN} s_N^{N/2-1} dr, zero off (-aN, aN)."""
-    log_Zw = normalization_Z(SphereSpec(N, aN))
-
-    def w_N(r):
-        s = 1.0 - (r / aN) ** 2
-        if s <= 0.0:
-            return 0.0
-        return math.exp((N / 2.0 - 1.0) * math.log(s) - log_Zw)
-
-    return w_N
+    """w_N(r) as a function of r, zero off (-aN, aN)."""
+    spec = SphereSpec(N, aN)
+    return lambda r: math.exp(log_weight_sphere(spec, r))
 
 
 def _normalize_positive(profile, weight, lo: float, hi: float, order: int,

@@ -8,7 +8,7 @@ checked against integer factorials in the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -110,21 +110,16 @@ class WeightProfile:
 
     spec: SphereSpec
     target: GaussSpec
-    log_Z: float = field(init=False)
 
     def __post_init__(self):
         if self.target.n != 1:
             raise ValueError("target must be one-dimensional")
-        object.__setattr__(self, "log_Z", normalization_Z(self.spec))
 
     def w(self, r: float) -> float:
         return math.exp(self.log_w(r))
 
     def log_w(self, r: float) -> float:
-        N, a = self.spec.N, self.spec.a
-        if abs(r) >= a:
-            return -math.inf
-        return (N / 2 - 1) * math.log1p(-(r / a) ** 2) - self.log_Z
+        return log_weight_sphere(self.spec, r)
 
     def w_inf(self, r: float) -> float:
         return math.exp(log_weight_gauss(self.target.alpha, r))

@@ -70,28 +70,16 @@ def build_P(N: int, n: int, K) -> LiftedPoly:
 
 
 def build_Q_sphere(N: int, n: int, K, a2) -> RationalPoly:
-    """On-sphere restriction of the harmonic lift, as a polynomial on R^n."""
-    K = _as_entries(K)
-    if len(K) != n:
-        raise ValueError(f"K has length {len(K)}, expected n={n}")
-    if not 1 <= n <= N:
-        raise ValueError("need 1 <= n <= N")
+    """On-sphere restriction of the harmonic lift, as a polynomial on R^n.
+
+    The lift P depends on y only through t = |y|^2, which on the sphere of
+    squared radius a2 equals a2 - |x|^2.
+    """
+    P = build_P(N, n, K)
     a2 = Fraction(a2)
     if a2 <= 0:
         raise ValueError("a2 must be positive")
-    k = sum(K)
-    xK = RationalPoly.monomial(K)
-    deltas = _laplacian_powers(xK, k // 2)
-    norm2 = RationalPoly(n)
-    for i in range(n):
-        norm2 = norm2 + RationalPoly.monomial(tuple(2 if j == i else 0 for j in range(n)))
-    radial = RationalPoly.constant(n, a2) - norm2
-    total = RationalPoly(n)
-    rad_pow = RationalPoly.constant(n, 1)
-    for j in range(k // 2 + 1):
-        total = total + coeff_C(j, N - n) * (rad_pow * deltas[j])
-        rad_pow = rad_pow * radial
-    return total
+    return P.substitute_t(a2)
 
 
 def build_Q_gauss(n: int, K, alpha2) -> RationalPoly:
@@ -127,33 +115,6 @@ def hermite(k: int) -> RationalPoly:
     for m in range(1, k):
         h, h_prev = r * h - Fraction(m) * h_prev, h
     return h
-
-
-def build_R(N: int, n: int, K_prime, a2) -> RationalPoly:
-    """Radial-profile companion polynomial for the cap eigenspace projection.
-
-    ``K_prime`` has length n-1 and acts on the variables x_2..x_n; the
-    correction factors (a^2 - |x|^2)^j involve all n variables.
-    """
-    Kp = _as_entries(K_prime)
-    if not 2 <= n <= N:
-        raise ValueError("need 2 <= n <= N")
-    if len(Kp) != n - 1:
-        raise ValueError(f"K' has length {len(Kp)}, expected n-1={n - 1}")
-    a2 = Fraction(a2)
-    k = sum(Kp)
-    xK = RationalPoly.monomial((0,) + tuple(Kp))
-    deltas = _laplacian_powers(xK, k // 2, range(1, n))
-    norm2 = RationalPoly(n)
-    for i in range(n):
-        norm2 = norm2 + RationalPoly.monomial(tuple(2 if j == i else 0 for j in range(n)))
-    radial = RationalPoly.constant(n, a2) - norm2
-    total = RationalPoly(n)
-    rad_pow = RationalPoly.constant(n, 1)
-    for j in range(k // 2 + 1):
-        total = total + coeff_C(j, N - n) * (rad_pow * deltas[j])
-        rad_pow = rad_pow * radial
-    return total
 
 
 def check_harmonic(p: LiftedPoly) -> tuple[bool, LiftedPoly]:

@@ -91,14 +91,6 @@ def heat_evolve(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
     return SpectralCoefficients(c.n, out, c.basis)
 
 
-def l2_norm(c: SpectralCoefficients) -> float:
-    return c.l2_norm()
-
-
-def energy(c: SpectralCoefficients) -> float:
-    return c.energy()
-
-
 def recovery_sequence(f: SpectralCoefficients, N: int) -> SpectralCoefficients:
     """Sphere-basis array whose Cheeger energy equals the Gaussian energy exactly.
 

@@ -5,22 +5,24 @@ line (visible with ``pytest -s`` or on failure) and asserts the criterion.
 Stated runtime caps are asserted where the criterion pins one.
 """
 
+import contextlib
+import io
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
 
+from sphere2gauss.cli import main
 from sphere2gauss.convergence import (closed_spectrum_table,
                                       dirichlet_convergence_table,
                                       proof_identities)
 from sphere2gauss.eigensolve import cap_eigenvalue, halfline_eigenvalue, nu_of_s
 from sphere2gauss.geometry import omega_density, sphere_volume_log
-from sphere2gauss.harmonics import (build_P, build_Q_gauss, check_harmonic,
-                                    ou_apply, projected_eigenspace_dimension)
+from sphere2gauss.harmonics import build_P
 from sphere2gauss.heatflow import (SpectralCoefficients, gauss_basis,
                                    heat_convergence_table, recovery_sequence)
-from sphere2gauss.indices import enumerate_multi_indices, gauss_multiplicity
+from sphere2gauss.indices import enumerate_multi_indices
 from sphere2gauss.polyalg import RationalPoly
 from sphere2gauss.quadrature import (legendre_rule, lifted_norm_sq_exact,
                                      sphere_inner_product)
@@ -34,39 +36,34 @@ def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+def _verify(suite: str) -> str:
+    """Run ``verify --suite`` through the CLI; its one output line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--suite", suite])
+    assert code == 0, out.getvalue()
+    return out.getvalue()
+
+
 def test_criterion_01_exact_harmonicity():
     start = time.monotonic()
-    ok = True
-    for n in range(1, 5):
-        for N in range(max(2, n), 17):
-            for k in range(7):
-                for K in enumerate_multi_indices(n, k):
-                    harmonic, _ = check_harmonic(build_P(N, n, K))
-                    ok = ok and harmonic
+    out = _verify("harmonicity")
     elapsed = time.monotonic() - start
     _report(1, "exact harmonicity of lifts, n<=4 N<=16 |K|<=6, zero tolerance",
-            ok and elapsed < 30.0, f"{elapsed:.1f}s < 30s")
+            out == "PASS harmonicity n<=4 N<=16 |K|<=6\n" and elapsed < 30.0,
+            f"{elapsed:.1f}s < 30s")
 
 
 def test_criterion_02_exact_ou_identity():
-    ok = True
-    for n in range(1, 5):
-        for alpha2 in (Fraction(1), Fraction(2), Fraction(1, 2)):
-            for k in range(7):
-                for K in enumerate_multi_indices(n, k):
-                    Q = build_Q_gauss(n, K, alpha2)
-                    ok = ok and ou_apply(Q, alpha2) == Q * (Fraction(-k) / alpha2)
-    _report(2, "exact OU eigen-identity, n<=4 |K|<=6 alpha^2 in {1,2,1/2}", ok)
+    out = _verify("ou")
+    _report(2, "exact OU eigen-identity, n<=4 |K|<=6 alpha^2 in {1,2,1/2}",
+            out == "PASS ou n<=4 |K|<=6 alpha2 in {1,2,1/2}\n")
 
 
 def test_criterion_03_dimension_identity():
-    ok = True
-    for n in range(1, 5):
-        for N in range(max(2, n + 1), 13):
-            for k in range(6):
-                ok = ok and (projected_eigenspace_dimension(N, n, k)
-                             == gauss_multiplicity(n, k))
-    _report(3, "rational-rank dimension identity d_k(n), n<=4 N<=12 k<=5", ok)
+    out = _verify("dimension")
+    _report(3, "rational-rank dimension identity d_k(n), n<=4 N<=12 k<=5",
+            out == "PASS dimension n<=4 N<=12 k<=5\n")
 
 
 def test_criterion_04_exact_error_law():

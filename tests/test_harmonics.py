@@ -5,11 +5,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from sphere2gauss.harmonics import (build_family, build_P, build_Q_gauss,
-                                    build_Q_sphere, build_R, check_harmonic,
+                                    build_Q_sphere, check_harmonic,
                                     coeff_C, hermite, ou_apply,
                                     projected_eigenspace_dimension)
 from sphere2gauss.indices import MultiIndex, enumerate_multi_indices, gauss_multiplicity
-from sphere2gauss.polyalg import RationalPoly
+from sphere2gauss.polyalg import RationalPoly, dumps
 
 
 def test_coeff_C_first_values():
@@ -94,32 +94,60 @@ def test_ou_identity_fails_for_wrong_alpha():
     assert ou_apply(Q, Fraction(2)) != Q * Fraction(-2, 1)
 
 
-def test_build_Q_sphere_is_substituted_P():
-    a2 = Fraction(9, 4)
-    K = MultiIndex((2, 1))
-    P = build_P(6, 2, K)
-    assert build_Q_sphere(6, 2, K, a2) == P.substitute_t(a2)
+# dumps of the restriction, computed by a second route: the direct sum
+# sum_j C_j(N-n) (a^2 - |x|^2)^j Delta^j x^K over R^n, with no t-slot lift
+Q_SPHERE_DUMPS = [
+    # (N, K, a2): a2 != N, odd k
+    (6, (2, 1), Fraction(9, 4), """6/5 * x1^2 x2^1
+1/5 * x2^3
+-9/20 * x2^1"""),
+    # n = 3
+    (5, (1, 1, 2), Fraction(1), """1/3 * x1^3 x2^1
+1/3 * x1^1 x2^3
+4/3 * x1^1 x2^1 x3^2
+-1/3 * x1^1 x2^1"""),
+    # k = 5
+    (7, (3, 2), Fraction(1), """11/48 * x1^5
+43/24 * x1^3 x2^2
+-7/24 * x1^3
+9/16 * x1^1 x2^4
+-5/8 * x1^1 x2^2
+1/16 * x1^1"""),
+    # a2 = N
+    (4, (4,), Fraction(4), """21/8 * x1^4
+-7 * x1^2
+2"""),
+    # n = 3, k = 5
+    (8, (2, 1, 2), Fraction(1, 4), """3/16 * x1^4 x2^1
+5/24 * x1^2 x2^3
+11/8 * x1^2 x2^1 x3^2
+-5/96 * x1^2 x2^1
+1/48 * x2^5
+5/24 * x2^3 x3^2
+-1/96 * x2^3
+3/16 * x2^1 x3^4
+-5/96 * x2^1 x3^2
+1/768 * x2^1"""),
+]
 
 
-def test_build_R_matches_Q_on_first_slot_zero():
-    # R for K' on x_2..x_n coincides with Q for K = (0, K'): the first
-    # variable is absent from x^K so both Laplacian chains agree
-    a2 = Fraction(1)
-    for N, n, Kp in [(4, 2, (2,)), (5, 3, (1, 1)), (6, 2, (3,))]:
-        R = build_R(N, n, Kp, a2)
-        Q = build_Q_sphere(N, n, MultiIndex((0,) + Kp), a2)
-        assert R == Q
+def test_build_Q_sphere_matches_recorded_dumps():
+    for N, K, a2, text in Q_SPHERE_DUMPS:
+        assert dumps(build_Q_sphere(N, len(K), K, a2)) == text, (N, K, a2)
 
 
-def test_build_R_theta_identity_on_S2():
+def test_Q_sphere_first_slot_zero_theta_identity_on_S2():
     # on S^2(1) with n=2 the restriction identity holds pointwise: at a
-    # sphere point (x1, x2, y) the lift of (0, k') evaluates to R(x1, x2)
-    Kp = (2,)
-    R = build_R(2, 2, Kp, Fraction(1))
-    P = build_P(2, 2, MultiIndex((0,) + Kp))
+    # sphere point (x1, x2, y) the lift of (0, k') evaluates to the
+    # restriction of that lift at (x1, x2)
+    K = (0, 2)
+    Q = build_Q_sphere(2, 2, K, Fraction(1))
+    P = build_P(2, 2, MultiIndex(K))
     x = (Fraction(3, 10), Fraction(2, 5))
     t = 1 - x[0] ** 2 - x[1] ** 2  # y^2 on the unit sphere
-    assert P.evaluate(x, t) == R.evaluate(x)
+    assert P.evaluate(x, t) == Q.evaluate(x)
+    # and it is the harmonic polynomial x2^2 - y^2 = 2 x2^2 + x1^2 - 1 there
+    assert Q == 2 * RationalPoly.monomial((0, 2)) + RationalPoly.monomial((2, 0)) - 1
 
 
 def test_family_consistency():

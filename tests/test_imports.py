@@ -1,16 +1,20 @@
-"""What a process loads: the exact algebra runs without NumPy and SciPy.
+"""What a process loads, and what the package and its CLI offer.
 
-The package resolves its public names on first access, so the checks that
-count loaded modules run in fresh interpreters.
+The exact algebra runs without NumPy and SciPy.  The package resolves its
+public names on first access, so the checks that count loaded modules run in
+fresh interpreters.  The public names and the CLI options are frozen here:
+adding one means editing a table below.
 """
 
+import argparse
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import sphere2gauss
-from sphere2gauss import convergence
+from sphere2gauss import cli, convergence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -23,15 +27,28 @@ PUBLIC = [
     "SphereSpec", "SturmLiouvilleSpec", "WeightProfile", "build_P", "build_Q_gauss",
     "build_Q_sphere", "build_family", "cap_eigenvalue", "cap_volume_fraction",
     "check_harmonic", "closed_spectrum_table", "dirichlet_convergence_table", "dumps",
-    "eigenfunction_comparison", "energy", "enumerate_multi_indices", "euler_pairing",
+    "eigenfunction_comparison", "enumerate_multi_indices", "euler_pairing",
     "gauss_basis", "gauss_multiplicity", "halfline_eigenvalue", "heat_convergence_table",
     "heat_evolve", "hermite", "hermite_rule", "integrate_gauss", "integrate_interval",
-    "l2_norm", "laplacian", "legendre_rule", "lifted_laplacian", "lifted_norm_sq_exact",
+    "laplacian", "legendre_rule", "lifted_laplacian", "lifted_norm_sq_exact",
     "mc_sphere_integral", "normalization_Z", "nu_of_s", "ode_residual", "omega_density",
     "ou_apply", "projected_eigenspace_dimension", "proof_identities", "rational_rank",
     "recovery_sequence", "sample_sphere", "sphere_basis", "sphere_inner_product",
     "sphere_monomial_moment", "sphere_multiplicity", "sphere_volume_log", "varpi_and_A",
 ]
+COMMON = ["-h", "--help", "--format", "--output", "--emit-plot-data"]
+OPTIONS = {
+    "closed-spectrum": ["--space", "--N", "--a", "--n", "--alpha", "--kmax"],
+    "converge-closed": ["--n", "--alpha", "--kmax", "--N"],
+    "cap-eigen": ["--N", "--a", "--theta", "--k", "--j", "--tol"],
+    "halfspace-eigen": ["--alpha", "--R", "--k", "--j", "--tol"],
+    "converge-dirichlet": ["--alpha", "--R", "--N", "--tol", "--schedule"],
+    "nu": ["--s", "--N-from", "--N-to", "--tol"],
+    "heat": ["--alpha", "--t", "--n", "--N", "--coeffs"],
+    "cheeger": ["--alpha", "--n", "--N", "--coeffs"],
+    "verify": ["--suite"],
+    "dump-poly": ["--which", "--N", "--K", "--a", "--alpha"],
+}
 SUBMODULES = ["convergence", "eigensolve", "geometry", "harmonics", "heatflow", "indices",
               "polyalg", "quadrature"]
 
@@ -110,3 +127,21 @@ def test_solver_bound_in_convergence_is_the_one_called(monkeypatch):
     monkeypatch.setattr(convergence, "cap_eigenvalue", wrapper)
     convergence.dirichlet_convergence_table(1.0, 0.0, [5, 9])
     assert [args[0] for args in calls] == [5, 9]
+
+
+def test_cli_options_unchanged():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: sorted(o for a in p._actions for o in a.option_strings)
+           for name, p in sub.choices.items()}
+    assert got == {name: sorted(opts + COMMON) for name, opts in OPTIONS.items()}
+    assert [o for a in parser._actions for o in a.option_strings] == ["-h", "--help"]
+
+
+def test_cli_reads_no_environment_variable():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not names & {"environ", "environb", "getenv", "getenvb", "os"}

@@ -41,7 +41,8 @@ def test_integrate_interval_and_gauss():
 
 
 def test_integrate_interval_rejects_nonfinite():
-    with pytest.raises(QuadratureError):
+    # the odd rule has a node at 0, where 1/r divides by zero on purpose
+    with pytest.warns(RuntimeWarning), pytest.raises(QuadratureError):
         integrate_interval(lambda r: 1.0 / r, (-1.0, 1.0), order=33)
 
 
