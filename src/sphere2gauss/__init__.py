@@ -19,23 +19,22 @@ _EXPORTS = {
     "convergence": ("ConvergenceRow", "EigenfunctionComparison", "closed_spectrum_table",
                     "dirichlet_convergence_table", "eigenfunction_comparison",
                     "proof_identities"),
-    "eigensolve": ("EigenResult", "SolverError", "SturmLiouvilleSpec", "cap_eigenvalue",
-                   "halfline_eigenvalue", "nu_of_s", "ode_residual"),
-    "geometry": ("GaussSpec", "SphereSpec", "WeightProfile", "normalization_Z",
-                 "omega_density", "sphere_volume_log", "varpi_and_A"),
-    "harmonics": ("HarmonicLiftFamily", "build_family", "build_P", "build_Q_gauss",
-                  "build_Q_sphere", "check_harmonic", "hermite", "ou_apply",
-                  "projected_eigenspace_dimension"),
+    "eigensolve": ("EigenResult", "SolverError", "cap_eigenvalue", "halfline_eigenvalue",
+                   "nu_of_s", "ode_residual"),
+    "geometry": ("SphereSpec", "normalization_Z", "omega_density", "sphere_volume_log",
+                 "varpi_and_A"),
+    "harmonics": ("build_P", "build_Q_gauss", "build_Q_sphere", "check_harmonic", "hermite",
+                  "ou_apply", "projected_eigenspace_dimension"),
     "heatflow": ("BasisTag", "HeatRow", "SpectralCoefficients", "gauss_basis",
                  "heat_convergence_table", "heat_evolve", "recovery_sequence", "sphere_basis"),
-    "indices": ("MultiIndex", "SpectrumIndex", "enumerate_multi_indices",
-                "gauss_multiplicity", "sphere_multiplicity"),
+    "indices": ("MultiIndex", "enumerate_multi_indices", "gauss_multiplicity",
+                "sphere_multiplicity"),
     "polyalg": ("LiftedPoly", "RationalPoly", "dumps", "euler_pairing", "laplacian",
                 "lifted_laplacian", "rational_rank"),
     "quadrature": ("QuadratureError", "QuadratureRule", "cap_volume_fraction",
-                   "hermite_rule", "integrate_gauss", "integrate_interval", "legendre_rule",
-                   "lifted_norm_sq_exact", "mc_sphere_integral", "sample_sphere",
-                   "sphere_inner_product", "sphere_monomial_moment"),
+                   "integrate_interval", "legendre_rule", "lifted_norm_sq_exact",
+                   "mc_sphere_integral", "sample_sphere", "sphere_inner_product",
+                   "sphere_monomial_moment"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_SOURCE, *_EXPORTS]

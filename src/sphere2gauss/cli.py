@@ -336,11 +336,13 @@ def _cmd_dump_poly(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser, plot: bool = True) -> None:
+    """The table options; ``plot`` for the subcommands that write (x, y) pairs."""
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
-    p.add_argument("--emit-plot-data", metavar="PATH",
-                   help="also write (x, y) CSV pairs to PATH")
+    if plot:
+        p.add_argument("--emit-plot-data", metavar="PATH",
+                       help="also write (x, y) CSV pairs to PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--alpha", default="1")
     p.add_argument("--kmax", type=int, required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_closed_spectrum)
 
     p = sub.add_parser("converge-closed", help="closed-spectrum convergence table")
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="1")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--N", type=int, nargs="+", required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_converge_closed)
 
     p = sub.add_parser("cap-eigen", help="Dirichlet eigenvalue of a spherical cap")
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-8)
-    _add_common(p)
+    _add_output(p, plot=False)
     p.set_defaults(handler=_cmd_cap_eigen)
 
     p = sub.add_parser("halfspace-eigen",
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-8)
-    _add_common(p)
+    _add_output(p, plot=False)
     p.set_defaults(handler=_cmd_halfspace_eigen)
 
     p = sub.add_parser("converge-dirichlet",
@@ -395,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--schedule", metavar="FILE",
                    help="CSV with columns (N, a_N, theta_N) overriding the default schedule")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_converge_dirichlet)
 
     p = sub.add_parser("nu", help="Friedland-Hayman exponent table")
@@ -403,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N-from", dest="N_from", type=int, required=True)
     p.add_argument("--N-to", dest="N_to", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-7)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_nu)
 
     p = sub.add_parser("heat", help="heat-flow convergence table")
@@ -413,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, nargs="+", required=True)
     p.add_argument("--coeffs", required=True,
                    help="file with lines 'K_1 ... K_n value'")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_heat)
 
     p = sub.add_parser("cheeger", help="Cheeger-energy recovery sequence")
@@ -421,12 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--N", type=int, nargs="+", required=True)
     p.add_argument("--coeffs", required=True)
-    _add_common(p)
+    _add_output(p, plot=False)
     p.set_defaults(handler=_cmd_cheeger)
 
     p = sub.add_parser("verify", help="exact verification suites")
     p.add_argument("--suite", choices=tuple(_SUITES) + ("all",), default="all")
-    _add_common(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("dump-poly", help="print a lift polynomial")
@@ -435,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", nargs="+", required=True, help="multi-index entries")
     p.add_argument("--a", default="1")
     p.add_argument("--alpha", default="1")
-    _add_common(p)
     p.set_defaults(handler=_cmd_dump_poly)
 
     return parser
@@ -448,8 +448,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # a failure is reported by its one error line alone, so the warnings a
-    # run raises (NumPy's float overflow, say) are shown only if it succeeds
+    # run raises (NumPy's float overflow, say) are recorded, whatever the
+    # caller's filters, and issued under those filters only if it succeeds
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
         try:
             code = args.handler(args)
         except RuntimeError as exc:
@@ -460,8 +462,11 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if code == 0:
-        for w in caught:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        try:
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        except Warning as exc:  # a filter turns the warning into an error
+            return _fail(f"{type(exc).__name__}: {exc}")
     return code
 
 

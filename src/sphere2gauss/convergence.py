@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _bind
-from .geometry import SphereSpec, log_weight_sphere
+from .geometry import SphereSpec, log_weight_gauss, log_weight_sphere
 
 
 @dataclass(frozen=True)
@@ -229,11 +229,10 @@ def eigenfunction_comparison(alpha: float, R: float, N: int,
     inf = _bind(globals(), "halfline_eigenvalue")(alpha, R, 0, 1, tol)
 
     lo = alpha * R
-    a2 = alpha * alpha
     w_N = _sphere_weight(N, aN)
 
     def w_inf(r):
-        return math.exp(-r * r / (2.0 * a2)) / (math.sqrt(2.0 * math.pi) * alpha)
+        return math.exp(log_weight_gauss(alpha, r))
 
     h_N = _normalize_positive(cap.profile, w_N, lo, aN, order=48, panels=24)
 

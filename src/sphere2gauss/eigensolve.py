@@ -26,30 +26,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betaincinv, rgamma, roots_genlaguerre
 
-from .geometry import GaussSpec, SphereSpec
-
 
 class SolverError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SturmLiouvilleSpec:
-    """One of the radial boundary-value problems behind the Dirichlet spectra."""
-
-    kind: str  # "cap" | "halfline"
-    spec: SphereSpec | GaussSpec
-    boundary: float  # theta in (0, pi) for cap; R for halfline
-    angular_k: int = 0
-    branch_j: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("cap", "halfline"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "cap" and not 0 < self.boundary < math.pi:
-            raise ValueError("cap aperture must lie in (0, pi)")
-        if self.angular_k < 0 or self.branch_j < 1:
-            raise ValueError("need k >= 0 and j >= 1")
 
 
 @dataclass
@@ -60,12 +39,20 @@ class EigenResult:
     samples: np.ndarray  # (abscissa, value) pairs, uniform abscissa
     iterations: int  # closed-form evaluations spent on the root
     profile: Callable[[float], float] = field(repr=False, default=None)
+    # r -> (c2, c1, potential) of c2 h'' + c1 h' + (lam - potential) h = 0
+    ode: Callable = field(repr=False, default=None)
 
 
 _EPS = sys.float_info.epsilon
 _GRID = 1024  # verification-grid size
 _COUNT_GRID = 160  # least sampling density used for interior zero counting
 _LAGUERRE = 40  # quadrature nodes for the half-line Laplace integrals
+# highest cap degree that the recurrence climbs to, one Python step per
+# degree.  The first branch of a cap of aperture theta lies near degree
+# j_{N/2-1,1} / theta (a Bessel zero, 2.4 at N = 2), so apertures below about
+# 4e-5 at N = 2, and larger ones at larger N, fail in about a second instead
+# of climbing for hours
+_MAX_DEGREE = 2 ** 16
 # the least sampled stretch past the boundary, in widths of the projected
 # weight (a/sqrt(N) on the cap, alpha on the half-line); the stretch grows to
 # the turning point of the branch when that lies further out
@@ -230,7 +217,7 @@ def _branch_root(on_grid, at_boundary, j: int, hi0: float, tol: float):
     return root, calls
 
 
-def ode_residual(result: EigenResult, problem: SturmLiouvilleSpec) -> float:
+def ode_residual(result: EigenResult) -> float:
     """Max ODE residual of the sampled eigenfunction, in the r-coordinate form.
 
     Order-8 central differences on the uniform verification grid.  Each
@@ -250,16 +237,8 @@ def ode_residual(result: EigenResult, problem: SturmLiouvilleSpec) -> float:
     h1, h2 = windows @ _D1 / dr, windows @ _D2 / dr ** 2
     m = len(_D1) // 2
     r, h = r[m:-m], h[m:-m]
-    k = problem.angular_k
-    if problem.kind == "cap":
-        N, a = problem.spec.N, problem.spec.a
-        c2 = 1.0 - (r / a) ** 2
-        c1 = -N * r / a ** 2
-        c0 = result.lam - k * (k + N - 2) / (a ** 2 * c2)
-    else:
-        alpha = problem.spec.alpha
-        c2, c1, c0 = 1.0, -r / alpha ** 2, result.lam - k / alpha ** 2
-    terms = (c2 * h2, c1 * h1, c0 * h)
+    c2, c1, potential = result.ode(r)
+    terms = (c2 * h2, c1 * h1, (result.lam - potential) * h)
     size = (sum(np.abs(term) for term in terms)
             + np.abs(c2) * (np.abs(h1) / span + np.abs(h) / span ** 2))
     return float(np.max(np.abs(sum(terms)) / size))
@@ -307,6 +286,8 @@ def _cap_form(n: float, N: int, k: int):
     recurrence (m + 2l) G_{m+1} = 2(m + l) t G_m - m G_{m-1} (DLMF 18.9),
     of which G is not the minimal solution, then climbs to n.
     """
+    if n > _MAX_DEGREE:
+        raise SolverError(f"cap degree {n:.6g} is above {_MAX_DEGREE}: the aperture is too small")
     n0 = n - math.floor(n)
     half = k + (N - 1) / 2
 
@@ -372,10 +353,13 @@ def cap_eigenvalue(N: int, a: float, theta: float, k: int = 0, j: int = 1,
         t = r / a
         return float((1.0 - t * t) ** (k / 2) * F(t))
 
+    def ode(r):
+        c2 = 1.0 - (r / a) ** 2
+        return c2, -N * r / a ** 2, k * (k + N - 2) / (a ** 2 * c2)
+
     result = EigenResult(lam=nu * (nu + N - 1) / (a * a), residual=math.nan, zeros=zeros,
-                         samples=samples, iterations=iterations, profile=profile)
-    problem = SturmLiouvilleSpec("cap", SphereSpec(N, a), theta, k, j)
-    result.residual = ode_residual(result, problem)
+                         samples=samples, iterations=iterations, profile=profile, ode=ode)
+    result.residual = ode_residual(result)
     if zeros != j - 1:
         raise SolverError(f"converged eigenfunction has {zeros} interior zeros, expected {j - 1}")
     return result
@@ -456,10 +440,12 @@ def halfline_eigenvalue(alpha: float, R: float, k: int = 0, j: int = 1,
             return 0.0
         return float(h(r / alpha))
 
+    def ode(r):
+        return 1.0, -r / alpha ** 2, k / alpha ** 2
+
     result = EigenResult(lam=(nu + k) / (alpha * alpha), residual=math.nan, zeros=zeros,
-                         samples=samples, iterations=iterations, profile=profile)
-    problem = SturmLiouvilleSpec("halfline", GaussSpec(1, alpha), R, k, j)
-    result.residual = ode_residual(result, problem)
+                         samples=samples, iterations=iterations, profile=profile, ode=ode)
+    result.residual = ode_residual(result)
     if zeros != j - 1:
         raise SolverError(f"converged eigenfunction has {zeros} interior zeros, expected {j - 1}")
     return result

@@ -1,4 +1,4 @@
-"""Weight profiles, sphere volumes, and boundedness diagnostics.
+"""Sphere and Gaussian weights, sphere volumes, and boundedness diagnostics.
 
 Every quantity that can underflow at large N is carried in the log domain;
 log-gamma comes from ``math.lgamma`` (relative error well below 1e-12,
@@ -23,20 +23,6 @@ class SphereSpec:
             raise ValueError("N must be >= 2")
         if not self.a > 0:
             raise ValueError("a must be positive")
-
-
-@dataclass(frozen=True)
-class GaussSpec:
-    """An n-dimensional Gaussian space with standard deviation alpha."""
-
-    n: int = 1
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
 
 
 def normalization_Z(spec: SphereSpec) -> float:
@@ -103,23 +89,3 @@ def omega_density(N: int, n: int, a: float, alpha: float, x) -> float:
                + sq / (2 * alpha * alpha))
     return math.exp(log_val)
 
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """Radial weight w_N together with its Gaussian target."""
-
-    spec: SphereSpec
-    target: GaussSpec
-
-    def __post_init__(self):
-        if self.target.n != 1:
-            raise ValueError("target must be one-dimensional")
-
-    def w(self, r: float) -> float:
-        return math.exp(self.log_w(r))
-
-    def log_w(self, r: float) -> float:
-        return log_weight_sphere(self.spec, r)
-
-    def w_inf(self, r: float) -> float:
-        return math.exp(log_weight_gauss(self.target.alpha, r))

@@ -9,7 +9,6 @@ polynomials.  Everything here is exact rational arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -127,31 +126,6 @@ def ou_apply(q: RationalPoly, alpha2) -> RationalPoly:
     """Weighted (Ornstein-Uhlenbeck) Laplacian: Delta q - <x, grad q>/alpha^2."""
     alpha2 = Fraction(alpha2)
     return laplacian(q) + Fraction(-1) / alpha2 * euler_pairing(q)
-
-
-@dataclass(frozen=True)
-class HarmonicLiftFamily:
-    """One multi-index worth of the three related eigenfunctions."""
-
-    N: int
-    n: int
-    K: MultiIndex
-    P: LiftedPoly
-    Q_sphere: RationalPoly
-    Q_gauss: RationalPoly
-    a2: Fraction
-    alpha2: Fraction
-
-
-def build_family(N: int, n: int, K, a2, alpha2) -> HarmonicLiftFamily:
-    K = MultiIndex(_as_entries(K))
-    return HarmonicLiftFamily(
-        N=N, n=n, K=K,
-        P=build_P(N, n, K),
-        Q_sphere=build_Q_sphere(N, n, K, a2),
-        Q_gauss=build_Q_gauss(n, K, alpha2),
-        a2=Fraction(a2), alpha2=Fraction(alpha2),
-    )
 
 
 def _generic_points(n: int, count: int, seed: int = 20240) -> list[tuple[Fraction, ...]]:

@@ -29,20 +29,6 @@ class MultiIndex:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class SpectrumIndex:
-    """Distinct-eigenvalue index k plus Sturm-Liouville branch j (Dirichlet case)."""
-
-    k: int
-    j: int = 1
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("k must be >= 0")
-        if self.j < 1:
-            raise ValueError("j must be >= 1")
-
-
 def enumerate_multi_indices(n: int, k: int) -> list[MultiIndex]:
     """All multi-indices of length ``n`` and order ``k``, lexicographically descending."""
     if n < 1:

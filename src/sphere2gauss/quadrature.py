@@ -1,8 +1,8 @@
 """Deterministic integration backends.
 
-Gauss-Legendre on intervals, Gauss-Hermite for Gaussian integrals, the
-disc-reduction formula for sphere integrals of projected polynomials, an
-exact Beta-function moment oracle, and a seeded Monte Carlo sphere sampler.
+Gauss-Legendre on intervals, the disc-reduction formula for sphere
+integrals of projected polynomials, an exact Beta-function moment oracle,
+and a seeded Monte Carlo sphere sampler.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str  # "legendre" | "hermite"
+    kind: str  # "legendre"
     order: int
     nodes: np.ndarray
     weights: np.ndarray
@@ -38,14 +38,6 @@ def legendre_rule(order: int) -> QuadratureRule:
         raise ValueError("order must be >= 2")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return QuadratureRule("legendre", order, nodes, weights)
-
-
-def hermite_rule(order: int) -> QuadratureRule:
-    """Probabilists' Gauss-Hermite rule with total mass 1."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
-    return QuadratureRule("hermite", order, nodes, weights / math.sqrt(2 * math.pi))
 
 
 def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
@@ -73,15 +65,6 @@ def integrate_interval(f, interval: tuple[float, float], order: int = 32,
         _check_finite(vals, xs)
         total += half * float(rule.weights @ vals)
     return total
-
-
-def integrate_gauss(f, alpha: float = 1.0, order: int = 64) -> float:
-    """Gauss-Hermite estimate of the integral of f against the 1-D Gaussian."""
-    rule = hermite_rule(order)
-    xs = alpha * rule.nodes
-    vals = _eval(f, xs)
-    _check_finite(vals, xs)
-    return float(rule.weights @ vals)
 
 
 def cap_volume_fraction(N: int, theta: float) -> float:

@@ -1,12 +1,17 @@
+import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from sphere2gauss import __version__
-from sphere2gauss.cli import main
+from sphere2gauss.cli import build_parser, main
 
 
 def _run(capsys, *argv):
@@ -135,6 +140,38 @@ def test_emit_plot_data(capsys, tmp_path):
     assert len(lines) == 3  # one (N, abs_err) pair per N at k=kmax
 
 
+def test_every_output_option_writes_its_file(capsys, tmp_path):
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("1 1.0\n2 0.5\n")
+    argvs = {
+        "closed-spectrum": ["--kmax", "2"],
+        "converge-closed": ["--n", "1", "--kmax", "2", "--N", "11"],
+        "cap-eigen": ["--N", "5", "--a", "1", "--theta", "1.5"],
+        "halfspace-eigen": ["--alpha", "1", "--R", "0"],
+        "converge-dirichlet": ["--alpha", "1", "--R", "0", "--N", "5"],
+        "nu": ["--s", "0.5", "--N-from", "2", "--N-to", "3"],
+        "heat": ["--alpha", "1", "--t", "1", "--N", "10", "--coeffs", str(coeffs)],
+        "cheeger": ["--alpha", "1", "--N", "10", "--coeffs", str(coeffs)],
+        "verify": ["--suite", "ou"],
+        "dump-poly": ["--K", "2", "1", "--N", "4"],
+    }
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(argvs) == sorted(sub.choices)
+    for command, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings}
+        if "--emit-plot-data" in options:
+            plot = tmp_path / f"{command}-plot.csv"
+            code, _, _ = _run(capsys, command, *argvs[command], "--emit-plot-data", str(plot))
+            assert code == 0
+            assert plot.read_text().splitlines()[0] == "x,y", command
+        if "--output" in options:
+            target = tmp_path / f"{command}.out"
+            code, out, _ = _run(capsys, command, *argvs[command], "--output", str(target))
+            assert code == 0
+            assert out == "", command
+            assert target.read_text(), command
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "table.csv"
     code, out, _ = _run(capsys, "converge-closed", "--n", "1", "--alpha", "1",
@@ -200,14 +237,16 @@ def test_coeffs_non_numeric_entry_reports_its_line(capsys, tmp_path, command, li
     assert err == f"error: {coeffs}:3: expected integer indices and a numeric value\n"
 
 
+@pytest.mark.parametrize("action", ["always", "error"])
 @pytest.mark.parametrize("argv", [
     ("halfspace-eigen", "--alpha", "1", "--R", "1e308"),
     ("cap-eigen", "--N", "5", "--a", "1e308", "--theta", "1"),
 ])
-def test_overflow_prints_one_error_line(capsys, argv):
-    # NumPy's overflow warnings would reach stderr ahead of the error line
+def test_overflow_prints_one_error_line(capsys, argv, action):
+    # NumPy's overflow warnings would reach stderr ahead of the error line,
+    # or end the run with a traceback under an "error" filter
     with warnings.catch_warnings(record=True) as escaped:
-        warnings.simplefilter("always")
+        warnings.simplefilter(action)
         code, out, err = _run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -226,3 +265,21 @@ def test_json_meta_carries_the_options(capsys):
                     "output": "-", "emit_plot_data": None}}
     assert payload["rows"][4] == {"N": "20", "k": "1", "lhs": "80/19", "rhs": "4",
                                   "abs_err": "4/19"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("cap-eigen", "--N", "26", "--a", "9", "--theta", "1e-20"),
+    ("nu", "--s", "1e-300", "--N-from", "2", "--N-to", "2"),
+])
+def test_tiny_aperture_fails_fast(argv):
+    # the cap's degree recurrence would climb about 1e20 steps; it is refused
+    # at a fixed degree instead, in about a second.  A child process, so that
+    # a run that climbs ends at the timeout
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "sphere2gauss.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cap degree ") and proc.stderr.count("\n") == 1

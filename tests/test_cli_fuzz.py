@@ -3,8 +3,8 @@
 Whatever the input, ``main`` exits 0, 1 or 2 and prints no traceback, and a
 failure that is not an argparse usage error prints exactly one ``error:``
 line on stderr.  Sizes (N, kmax, j, the N range of ``nu``) and the least
-cap aperture are bounded so that the suite stays fast; no drawn input is
-filtered out.  The examples are derandomized, so every run tries the same
+drawn cap aperture are bounded so that the suite stays fast; no drawn input
+is filtered out.  The examples are derandomized, so every run tries the same
 inputs.
 """
 
@@ -18,10 +18,6 @@ from sphere2gauss.cli import main
 
 EDGE = ["0", "-0", "-1", "1/0", "nan", "-nan", "inf", "-inf", "1e308", "-1e308",
         "1e400", "1e-320"]
-# a cap solve climbs a recurrence to a degree of about 2.4/theta, so its time
-# grows like 1/theta (6.6 s at theta = 1e-4): options that set the cap's
-# aperture take no positive value below 1e-2
-NOT_TINY = EDGE[:-1]
 JUNK = ["", "abc", "1,5", "0x10", "--", "1/2/3", "two"]
 
 
@@ -30,14 +26,9 @@ def _mostly(valid, rare=st.sampled_from(EDGE + JUNK)):
     return st.integers(0, 4).flatmap(lambda i: rare if i == 0 else valid)
 
 
-def _real(lo, hi, edge=EDGE):
+def _real(lo, hi):
     """A float option: a finite value in [lo, hi], an edge value or junk."""
-    return _mostly(st.floats(lo, hi).map(repr), st.sampled_from(edge + JUNK))
-
-
-def _aperture(lo, hi):
-    """A float option that sets a cap's aperture, bounded away from 0 for time."""
-    return _real(lo, hi, NOT_TINY)
+    return _mostly(st.floats(lo, hi).map(repr))
 
 
 def _int(lo, hi):
@@ -74,7 +65,7 @@ def _coeffs_file(n_max):
 
 def _schedule_file():
     row = st.one_of(
-        st.tuples(st.integers(2, 12).map(str), _real(0, 10), _aperture(1e-2, 3.2)).map(list),
+        st.tuples(st.integers(2, 12).map(str), _real(0, 10), _real(1e-2, 3.2)).map(list),
         st.lists(_real(-5, 50), max_size=4))
     return st.lists(st.one_of(row.map(",".join), st.just("N,a_N,theta_N")),
                     max_size=4).map(lambda rows: File("\n".join(rows) + "\n"))
@@ -90,7 +81,12 @@ def _options(required, optional=None):
 
 
 COMMON = _options({}, {"--format": st.sampled_from(["csv", "json", "xml"])})
+NO_TABLE = {"verify", "dump-poly"}  # the subcommands that take no --format
 
+# a cap solve climbs a recurrence to a degree of about 2.4/theta, so its time
+# grows like 1/theta: the drawn apertures (--theta, the schedule's theta_N and
+# --s of nu) stay above 1e-2 or 1e-3, while the edge value 1e-320, which the
+# solver refuses in about a second, is still drawn
 STRATEGIES = {
     "closed-spectrum": _options({"--kmax": _int(-2, 8)}, {
         "--space": st.sampled_from(["sphere", "gauss", "torus"]), "--N": _int(-2, 60),
@@ -99,7 +95,7 @@ STRATEGIES = {
         {"--n": _int(-2, 6), "--kmax": _int(-2, 6), "--N": _ints(-2, 10_000)},
         {"--alpha": _rational(20)}),
     "cap-eigen": _options(
-        {"--N": _int(-2, 60), "--a": _real(-1, 10), "--theta": _aperture(1e-2, 3.3)},
+        {"--N": _int(-2, 60), "--a": _real(-1, 10), "--theta": _real(1e-2, 3.3)},
         {"--k": _int(-2, 4), "--j": _int(-2, 6), "--tol": _real(0, 1)}),
     "halfspace-eigen": _options(
         {"--alpha": _real(-1, 5), "--R": _real(-6, 6)},
@@ -108,7 +104,7 @@ STRATEGIES = {
         {"--alpha": _real(-1, 3), "--R": _real(-4, 4), "--N": _ints(-2, 12)},
         {"--tol": _real(0, 1), "--schedule": _schedule_file()}),
     "nu": _options(
-        {"--s": _aperture(1e-3, 1.5), "--N-from": _int(-2, 12), "--N-to": _int(-2, 12)},
+        {"--s": _real(1e-3, 1.5), "--N-from": _int(-2, 12), "--N-to": _int(-2, 12)},
         {"--tol": _real(0, 1)}),
     "heat": _options(
         {"--alpha": _real(-1, 5), "--t": _real(-1, 50), "--N": _ints(-2, 10_000),
@@ -140,7 +136,8 @@ def workdir(tmp_path_factory):
 def test_cli_fuzz(workdir, command, data):
     args = data.draw(STRATEGIES[command], label="options")
     argv = [command]
-    for i, arg in enumerate(args + data.draw(COMMON, label="common")):
+    common = [] if command in NO_TABLE else data.draw(COMMON, label="common")
+    for i, arg in enumerate(args + common):
         if isinstance(arg, File):
             path = workdir / f"input{i}.txt"
             path.write_text(arg.text)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -7,10 +8,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq  # test-only oracle for the root step
 
-from sphere2gauss.eigensolve import (EigenResult, SolverError, SturmLiouvilleSpec, _brentq,
-                                     cap_eigenvalue, halfline_eigenvalue, nu_of_s,
-                                     ode_residual)
-from sphere2gauss.geometry import GaussSpec, SphereSpec
+from sphere2gauss.eigensolve import (SolverError, _brentq, cap_eigenvalue, halfline_eigenvalue,
+                                     nu_of_s, ode_residual)
 
 
 @pytest.mark.parametrize("N", [2, 5, 11])
@@ -85,10 +84,8 @@ def test_halfline_R1_value():
 def test_residual_certificate_rejects_perturbation():
     good = cap_eigenvalue(5, 1.0, math.pi / 2, 0, 1, tol=1e-9)
     assert good.residual < 1e-7
-    bad = EigenResult(lam=good.lam + 0.1, residual=math.nan, zeros=good.zeros,
-                      samples=good.samples, iterations=0)
-    problem = SturmLiouvilleSpec("cap", SphereSpec(5, 1.0), math.pi / 2, 0, 1)
-    assert ode_residual(bad, problem) > 1e-3
+    bad = dataclasses.replace(good, lam=good.lam + 0.1)
+    assert ode_residual(bad) > 1e-3
 
 
 @pytest.mark.parametrize("kind, R, j, at", [("halfline", 0.0, 1, 2.0),
@@ -99,17 +96,14 @@ def test_residual_certificate_rejects_local_perturbation(kind, R, j, at):
     # next to the boundary at R=5 where h is ~1e-13 of its size further out
     if kind == "cap":
         res = cap_eigenvalue(5, 1.0, R, 0, j)
-        problem = SturmLiouvilleSpec(kind, SphereSpec(5, 1.0), R, 0, j)
     else:
         res = halfline_eigenvalue(1.0, R, 0, j)
-        problem = SturmLiouvilleSpec(kind, GaussSpec(1, 1.0), R, 0, j)
     assert res.residual < 1e-8
     samples = res.samples.copy()
     i = int(np.searchsorted(samples[:, 0], at))
     samples[i:i + 3, 1] *= 1 + 1e-9
-    bad = EigenResult(lam=res.lam, residual=math.nan, zeros=res.zeros,
-                      samples=samples, iterations=0)
-    assert ode_residual(bad, problem) > 1e-8
+    bad = dataclasses.replace(res, samples=samples)
+    assert ode_residual(bad) > 1e-8
 
 
 @pytest.mark.parametrize("j", [25, 40])
@@ -148,8 +142,6 @@ def test_input_validation():
         halfline_eigenvalue(1.0, 0.0, k=-1)
     with pytest.raises(ValueError):
         nu_of_s(3, 1.5)
-    with pytest.raises(ValueError):
-        SturmLiouvilleSpec("disk", SphereSpec(3, 1.0), 1.0)
 
 
 def _zeros_in_nu(f, count: int, start: float, step: float) -> list[float]:

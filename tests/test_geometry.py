@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sphere2gauss.geometry import (GaussSpec, SphereSpec, WeightProfile,
-                                   log_weight_gauss, log_weight_sphere,
-                                   normalization_Z, omega_density,
-                                   sphere_volume_log, varpi_and_A)
+from sphere2gauss.geometry import (SphereSpec, log_weight_gauss, log_weight_sphere,
+                                   normalization_Z, omega_density, sphere_volume_log,
+                                   varpi_and_A)
 from sphere2gauss.quadrature import integrate_interval
 
 
@@ -15,10 +14,6 @@ def test_spec_validation():
         SphereSpec(1, 1.0)
     with pytest.raises(ValueError):
         SphereSpec(3, 0.0)
-    with pytest.raises(ValueError):
-        GaussSpec(0, 1.0)
-    with pytest.raises(ValueError):
-        GaussSpec(1, -1.0)
 
 
 @pytest.mark.parametrize("N,a", [(2, 1.0), (5, 2.0), (10, 3.0), (50, 7.0)])
@@ -46,8 +41,9 @@ def test_log_weight_sphere_support():
 
 
 def test_weight_profile_integrates_to_one():
-    prof = WeightProfile(SphereSpec(12, 3.0), GaussSpec(1, 1.0))
-    total = integrate_interval(prof.w, (-3.0, 3.0), order=64, panels=64)
+    spec = SphereSpec(12, 3.0)
+    total = integrate_interval(lambda r: math.exp(log_weight_sphere(spec, r)), (-3.0, 3.0),
+                               order=64, panels=64)
     assert total == pytest.approx(1.0, abs=1e-10)
 
 

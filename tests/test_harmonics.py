@@ -4,8 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from sphere2gauss.harmonics import (build_family, build_P, build_Q_gauss,
-                                    build_Q_sphere, check_harmonic,
+from sphere2gauss.harmonics import (build_P, build_Q_gauss, build_Q_sphere, check_harmonic,
                                     coeff_C, hermite, ou_apply,
                                     projected_eigenspace_dimension)
 from sphere2gauss.indices import MultiIndex, enumerate_multi_indices, gauss_multiplicity
@@ -148,13 +147,6 @@ def test_Q_sphere_first_slot_zero_theta_identity_on_S2():
     assert P.evaluate(x, t) == Q.evaluate(x)
     # and it is the harmonic polynomial x2^2 - y^2 = 2 x2^2 + x1^2 - 1 there
     assert Q == 2 * RationalPoly.monomial((0, 2)) + RationalPoly.monomial((2, 0)) - 1
-
-
-def test_family_consistency():
-    fam = build_family(5, 2, MultiIndex((1, 1)), Fraction(4), Fraction(1))
-    assert fam.P.substitute_t(Fraction(4)) == fam.Q_sphere
-    ok, _ = check_harmonic(fam.P)
-    assert ok
 
 
 @given(st.integers(1, 3), st.integers(0, 3))

@@ -18,34 +18,36 @@ from sphere2gauss import cli, convergence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the public names before they were loaded lazily, and the submodules that an
-# eager import of every submodule left bound in the package
+# the public names, and the submodules that an eager import of every
+# submodule left bound in the package
 PUBLIC = [
-    "BasisTag", "ConvergenceRow", "EigenResult", "EigenfunctionComparison", "GaussSpec",
-    "HarmonicLiftFamily", "HeatRow", "LiftedPoly", "MultiIndex", "QuadratureError",
-    "QuadratureRule", "RationalPoly", "SolverError", "SpectralCoefficients", "SpectrumIndex",
-    "SphereSpec", "SturmLiouvilleSpec", "WeightProfile", "build_P", "build_Q_gauss",
-    "build_Q_sphere", "build_family", "cap_eigenvalue", "cap_volume_fraction",
-    "check_harmonic", "closed_spectrum_table", "dirichlet_convergence_table", "dumps",
-    "eigenfunction_comparison", "enumerate_multi_indices", "euler_pairing",
-    "gauss_basis", "gauss_multiplicity", "halfline_eigenvalue", "heat_convergence_table",
-    "heat_evolve", "hermite", "hermite_rule", "integrate_gauss", "integrate_interval",
-    "laplacian", "legendre_rule", "lifted_laplacian", "lifted_norm_sq_exact",
-    "mc_sphere_integral", "normalization_Z", "nu_of_s", "ode_residual", "omega_density",
-    "ou_apply", "projected_eigenspace_dimension", "proof_identities", "rational_rank",
-    "recovery_sequence", "sample_sphere", "sphere_basis", "sphere_inner_product",
-    "sphere_monomial_moment", "sphere_multiplicity", "sphere_volume_log", "varpi_and_A",
+    "BasisTag", "ConvergenceRow", "EigenResult", "EigenfunctionComparison", "HeatRow",
+    "LiftedPoly", "MultiIndex", "QuadratureError", "QuadratureRule", "RationalPoly",
+    "SolverError", "SpectralCoefficients", "SphereSpec", "build_P", "build_Q_gauss",
+    "build_Q_sphere", "cap_eigenvalue", "cap_volume_fraction", "check_harmonic",
+    "closed_spectrum_table", "dirichlet_convergence_table", "dumps",
+    "eigenfunction_comparison", "enumerate_multi_indices", "euler_pairing", "gauss_basis",
+    "gauss_multiplicity", "halfline_eigenvalue", "heat_convergence_table", "heat_evolve",
+    "hermite", "integrate_interval", "laplacian", "legendre_rule", "lifted_laplacian",
+    "lifted_norm_sq_exact", "mc_sphere_integral", "normalization_Z", "nu_of_s",
+    "ode_residual", "omega_density", "ou_apply", "projected_eigenspace_dimension",
+    "proof_identities", "rational_rank", "recovery_sequence", "sample_sphere",
+    "sphere_basis", "sphere_inner_product", "sphere_monomial_moment", "sphere_multiplicity",
+    "sphere_volume_log", "varpi_and_A",
 ]
-COMMON = ["-h", "--help", "--format", "--output", "--emit-plot-data"]
+# every subcommand takes -h/--help; TABLE and PLOT are the output options,
+# taken only by the subcommands that write a table or (x, y) pairs
+TABLE = ["--format", "--output"]
+PLOT = TABLE + ["--emit-plot-data"]
 OPTIONS = {
-    "closed-spectrum": ["--space", "--N", "--a", "--n", "--alpha", "--kmax"],
-    "converge-closed": ["--n", "--alpha", "--kmax", "--N"],
-    "cap-eigen": ["--N", "--a", "--theta", "--k", "--j", "--tol"],
-    "halfspace-eigen": ["--alpha", "--R", "--k", "--j", "--tol"],
-    "converge-dirichlet": ["--alpha", "--R", "--N", "--tol", "--schedule"],
-    "nu": ["--s", "--N-from", "--N-to", "--tol"],
-    "heat": ["--alpha", "--t", "--n", "--N", "--coeffs"],
-    "cheeger": ["--alpha", "--n", "--N", "--coeffs"],
+    "closed-spectrum": ["--space", "--N", "--a", "--n", "--alpha", "--kmax", *PLOT],
+    "converge-closed": ["--n", "--alpha", "--kmax", "--N", *PLOT],
+    "cap-eigen": ["--N", "--a", "--theta", "--k", "--j", "--tol", *TABLE],
+    "halfspace-eigen": ["--alpha", "--R", "--k", "--j", "--tol", *TABLE],
+    "converge-dirichlet": ["--alpha", "--R", "--N", "--tol", "--schedule", *PLOT],
+    "nu": ["--s", "--N-from", "--N-to", "--tol", *PLOT],
+    "heat": ["--alpha", "--t", "--n", "--N", "--coeffs", *PLOT],
+    "cheeger": ["--alpha", "--n", "--N", "--coeffs", *TABLE],
     "verify": ["--suite"],
     "dump-poly": ["--which", "--N", "--K", "--a", "--alpha"],
 }
@@ -134,7 +136,7 @@ def test_cli_options_unchanged():
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     got = {name: sorted(o for a in p._actions for o in a.option_strings)
            for name, p in sub.choices.items()}
-    assert got == {name: sorted(opts + COMMON) for name, opts in OPTIONS.items()}
+    assert got == {name: sorted(opts + ["-h", "--help"]) for name, opts in OPTIONS.items()}
     assert [o for a in parser._actions for o in a.option_strings] == ["-h", "--help"]
 
 

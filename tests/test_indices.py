@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sphere2gauss.indices import (MultiIndex, SpectrumIndex, enumerate_multi_indices,
-                                  gauss_multiplicity, sphere_multiplicity)
+from sphere2gauss.indices import (MultiIndex, enumerate_multi_indices, gauss_multiplicity,
+                                  sphere_multiplicity)
 
 
 def test_multi_index_order():
@@ -17,14 +17,6 @@ def test_multi_index_order():
 def test_multi_index_rejects_negative():
     with pytest.raises(ValueError):
         MultiIndex((1, -1))
-
-
-def test_spectrum_index_validation():
-    SpectrumIndex(0, 1)
-    with pytest.raises(ValueError):
-        SpectrumIndex(-1, 1)
-    with pytest.raises(ValueError):
-        SpectrumIndex(0, 0)
 
 
 @given(st.integers(1, 5), st.integers(0, 7))

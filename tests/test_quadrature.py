@@ -4,12 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sphere2gauss.geometry import SphereSpec, sphere_volume_log
+from sphere2gauss.geometry import SphereSpec, log_weight_gauss, sphere_volume_log
 from sphere2gauss.harmonics import build_P
 from sphere2gauss.indices import MultiIndex
 from sphere2gauss.polyalg import RationalPoly
 from sphere2gauss.quadrature import (QuadratureError, cap_volume_fraction,
-                                     hermite_rule, integrate_gauss,
                                      integrate_interval, legendre_rule,
                                      lifted_norm_sq_exact, mc_sphere_integral,
                                      sample_sphere, sphere_inner_product,
@@ -26,18 +25,14 @@ def test_legendre_exactness_degree(order):
         assert got == pytest.approx(want, abs=1e-13)
 
 
-def test_hermite_rule_gaussian_moments():
-    # probabilists' normalization: moments of N(0,1) are (2m-1)!!
-    rule = hermite_rule(20)
-    for m, want in [(0, 1.0), (2, 1.0), (4, 3.0), (6, 15.0), (8, 105.0)]:
-        got = float(np.sum(rule.weights * rule.nodes ** m))
-        assert got == pytest.approx(want, rel=1e-12)
-
-
 def test_integrate_interval_and_gauss():
     assert integrate_interval(math.sin, (0.0, math.pi), order=32) == pytest.approx(
         2.0, rel=1e-13)
-    assert integrate_gauss(lambda r: r * r, alpha=2.0) == pytest.approx(4.0, rel=1e-12)
+    # second moment of the Gaussian density with alpha = 2; past 10 alpha the
+    # tails hold less than e^-50
+    second = integrate_interval(lambda r: r * r * math.exp(log_weight_gauss(2.0, r)),
+                                (-20.0, 20.0), order=32, panels=8)
+    assert second == pytest.approx(4.0, rel=1e-12)
 
 
 def test_integrate_interval_rejects_nonfinite():
