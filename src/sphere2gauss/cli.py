@@ -23,13 +23,13 @@ import warnings
 from fractions import Fraction
 
 from . import __version__, _bind
-from .convergence import closed_spectrum_table, dirichlet_convergence_table
+from .convergence import _certified, closed_spectrum_table, dirichlet_convergence_table
 from .harmonics import (build_P, build_Q_gauss, build_Q_sphere, check_harmonic,
                         ou_apply, projected_eigenspace_dimension)
 from .heatflow import (SpectralCoefficients, gauss_basis, heat_convergence_table,
                        recovery_sequence)
 from .indices import MultiIndex, enumerate_multi_indices, gauss_multiplicity, sphere_multiplicity
-from .polyalg import LiftedPoly, dumps, dumps_lifted
+from .polyalg import dumps
 
 
 def _fmt(v) -> str:
@@ -142,15 +142,6 @@ def _positive_square(text: str, option: str) -> Fraction:
     return value ** 2
 
 
-def _eigen_row(result, tol: float) -> tuple[dict, bool]:
-    """Row for an eigenvalue, or an error record if the certificate fails."""
-    if not result.residual <= tol:
-        return ({"error": f"residual {result.residual:.3g} exceeds tolerance {tol:.3g}"},
-                False)
-    return ({"lambda": result.lam, "residual": result.residual,
-             "zeros": result.zeros, "iterations": result.iterations}, True)
-
-
 # -- subcommand handlers ---------------------------------------------------
 
 
@@ -185,25 +176,26 @@ def _cmd_converge_closed(args) -> int:
     return 0
 
 
-def _cmd_cap_eigen(args) -> int:
-    cap_eigenvalue = _bind(globals(), "cap_eigenvalue")
-    result = cap_eigenvalue(args.N, args.a, args.theta, args.k, args.j, args.tol)
-    row, ok = _eigen_row(result, args.tol)
-    row.update({"N": args.N, "a": args.a, "theta": args.theta,
-                "k": args.k, "j": args.j})
-    _emit(args, ["N", "a", "theta", "k", "j", "lambda", "residual", "zeros",
-                 "iterations", "error"], [row])
-    return 0 if ok else _fail(row["error"])
+def _eigen_command(solver: str, params: tuple[str, ...]):
+    """Handler that solves for one eigenvalue and emits it as a one-row table.
 
+    ``solver`` is called with the ``params`` options, k, j and tol.  The row
+    carries the eigenvalue, or an error record if its certificate fails.
+    """
+    columns = [*params, "k", "j", "lambda", "residual", "zeros", "iterations", "error"]
 
-def _cmd_halfspace_eigen(args) -> int:
-    halfline_eigenvalue = _bind(globals(), "halfline_eigenvalue")
-    result = halfline_eigenvalue(args.alpha, args.R, args.k, args.j, args.tol)
-    row, ok = _eigen_row(result, args.tol)
-    row.update({"alpha": args.alpha, "R": args.R, "k": args.k, "j": args.j})
-    _emit(args, ["alpha", "R", "k", "j", "lambda", "residual", "zeros",
-                 "iterations", "error"], [row])
-    return 0 if ok else _fail(row["error"])
+    def handler(args) -> int:
+        row = {c: getattr(args, c) for c in (*params, "k", "j")}
+        result = _bind(globals(), solver)(*row.values(), args.tol)
+        if _certified(result.residual, args.tol):
+            row.update({"lambda": result.lam, "residual": result.residual,
+                        "zeros": result.zeros, "iterations": result.iterations})
+        else:
+            row["error"] = f"residual {result.residual:.3g} exceeds tolerance {args.tol:.3g}"
+        _emit(args, columns, [row])
+        return _fail(row["error"]) if "error" in row else 0
+
+    return handler
 
 
 def _cmd_converge_dirichlet(args) -> int:
@@ -215,7 +207,8 @@ def _cmd_converge_dirichlet(args) -> int:
         row = {"N": r.N, "lhs": r.lhs, "rhs": r.rhs, "abs_err": r.abs_err,
                "residual_lhs": r.residual_lhs, "residual_rhs": r.residual_rhs,
                "hyp_ok": r.hypotheses_ok, "note": r.note}
-        if not r.note and (r.residual_lhs > args.tol or r.residual_rhs > args.tol):
+        if not r.note and not (_certified(r.residual_lhs, args.tol)
+                               and _certified(r.residual_rhs, args.tol)):
             row = {"N": r.N, "note": r.note,
                    "error": "residual exceeds tolerance"}
             failed.append(str(r.N))
@@ -324,12 +317,12 @@ def _cmd_dump_poly(args) -> int:
     K = _parse_multi_index(args.K)
     n = len(args.K)
     if args.which == "P":
-        poly = build_P(args.N, n, K)
+        text = dumps(build_P(args.N, n, K).base, lifted=True)
     elif args.which == "Q-sphere":
-        poly = build_Q_sphere(args.N, n, K, _rational(args.a, "--a") ** 2)
+        text = dumps(build_Q_sphere(args.N, n, K, _rational(args.a, "--a") ** 2))
     else:
-        poly = build_Q_gauss(n, K, _rational(args.alpha, "--alpha") ** 2)
-    print(dumps_lifted(poly) if isinstance(poly, LiftedPoly) else dumps(poly))
+        text = dumps(build_Q_gauss(n, K, _rational(args.alpha, "--alpha") ** 2))
+    print(text)
     return 0
 
 
@@ -377,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-8)
     _add_output(p, plot=False)
-    p.set_defaults(handler=_cmd_cap_eigen)
+    p.set_defaults(handler=_eigen_command("cap_eigenvalue", ("N", "a", "theta")))
 
     p = sub.add_parser("halfspace-eigen",
                        help="Dirichlet eigenvalue of a Gaussian half-space slice")
@@ -387,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-8)
     _add_output(p, plot=False)
-    p.set_defaults(handler=_cmd_halfspace_eigen)
+    p.set_defaults(handler=_eigen_command("halfline_eigenvalue", ("alpha", "R")))
 
     p = sub.add_parser("converge-dirichlet",
                        help="cap-versus-half-line convergence table")

@@ -95,6 +95,11 @@ def check_hypotheses(alpha: float, R: float, aN: float, thetaN: float,
     return boundary_ok and bound_ok
 
 
+def _certified(residual: float, tol: float) -> bool:
+    """Verdict of a residual certificate: within tol passes, and NaN fails."""
+    return residual <= tol
+
+
 def dirichlet_convergence_table(alpha: float, R: float, N_list: Sequence[int],
                                 tol: float = 1e-8,
                                 schedule=None) -> list[ConvergenceRow]:
@@ -103,7 +108,7 @@ def dirichlet_convergence_table(alpha: float, R: float, N_list: Sequence[int],
     ``schedule`` maps N to (a_N, theta_N); defaults to the canonical one.
     Ns too small for the canonical boundary produce a skipped row carrying
     a diagnostic note instead of an eigenvalue.  A row is marked invalid
-    (hypotheses_ok False) if either residual certificate exceeds tol.
+    (hypotheses_ok False) unless both residual certificates pass.
     """
     cap_eigenvalue = _bind(globals(), "cap_eigenvalue")
     limit = _bind(globals(), "halfline_eigenvalue")(alpha, R, 0, 1, tol)
@@ -120,7 +125,7 @@ def dirichlet_convergence_table(alpha: float, R: float, N_list: Sequence[int],
             continue
         cap = cap_eigenvalue(N, aN, thetaN, 0, 1, tol)
         ok = (check_hypotheses(alpha, R, aN, thetaN, N)
-              and cap.residual < tol and limit.residual < tol)
+              and _certified(cap.residual, tol) and _certified(limit.residual, tol))
         rows.append(ConvergenceRow(N=N, lhs=cap.lam, rhs=limit.lam,
                                    abs_err=abs(cap.lam - limit.lam),
                                    residual_lhs=cap.residual,

@@ -53,6 +53,7 @@ _LAGUERRE = 40  # quadrature nodes for the half-line Laplace integrals
 # 4e-5 at N = 2, and larger ones at larger N, fail in about a second instead
 # of climbing for hours
 _MAX_DEGREE = 2 ** 16
+_MAX_GROW = 60  # doublings of the bracket top before a branch counts as not found
 # the least sampled stretch past the boundary, in widths of the projected
 # weight (a/sqrt(N) on the cap, alpha on the half-line); the stretch grows to
 # the turning point of the branch when that lies further out
@@ -107,7 +108,7 @@ def _effective_zero_count(values: np.ndarray) -> int:
     return interior
 
 
-def _bracket_branch(count, j: int, hi0: float, max_grow: int = 60):
+def _bracket_branch(count, j: int, hi0: float):
     """Locate adjacent spectral parameters with oscillation counts j-1 and j."""
     lo = 1e-12
     count_lo = count(lo)
@@ -119,7 +120,7 @@ def _bracket_branch(count, j: int, hi0: float, max_grow: int = 60):
     while count_hi < j:
         hi *= 2.0
         grow += 1
-        if grow > max_grow:
+        if grow > _MAX_GROW:
             raise SolverError(f"no bracket found below nu = {hi:g}")
         count_hi = count(hi)
     while not (count_lo == j - 1 and count_hi == j):

@@ -8,6 +8,7 @@ polynomials.  Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -42,30 +43,29 @@ def _as_entries(K) -> tuple[int, ...]:
     return MultiIndex(tuple(K)).entries
 
 
-def _laplacian_powers(base: RationalPoly, jmax: int,
-                      variables: Sequence[int] | None = None) -> list[RationalPoly]:
-    powers = [base]
-    for _ in range(jmax):
-        powers.append(laplacian(powers[-1], variables))
-    return powers
+def _laplacian_series(xK: RationalPoly, coeffs: Sequence,
+                      variables: Sequence[int] | None = None) -> RationalPoly:
+    """Sum over j of coeffs[j] * Delta^j x^K, the Laplacian over ``variables``."""
+    total = RationalPoly(xK.nvars)
+    delta = xK
+    for j, c in enumerate(coeffs):
+        if j:
+            delta = laplacian(delta, variables)
+        total = total + c * delta
+    return total
 
 
 def build_P(N: int, n: int, K) -> LiftedPoly:
-    """Harmonic lift of the monomial x^K to R^{N+1}, in the t-slot encoding."""
+    """Harmonic lift of x^K to R^{N+1}: sum over j of C_j(N-n) t^j Delta^j x^K, t = |y|^2."""
     K = _as_entries(K)
     if len(K) != n:
         raise ValueError(f"K has length {len(K)}, expected n={n}")
     if not 1 <= n <= N:
         raise ValueError("need 1 <= n <= N")
-    k = sum(K)
-    xK = RationalPoly.monomial(tuple(K) + (0,))
-    deltas = _laplacian_powers(xK, k // 2, range(n))
-    total = RationalPoly(n + 1)
-    for j in range(k // 2 + 1):
-        c = coeff_C(j, N - n)
-        t_j = RationalPoly.monomial((0,) * n + (j,))
-        total = total + c * (t_j * deltas[j])
-    return LiftedPoly(total, n, N)
+    coeffs = [RationalPoly.monomial((0,) * n + (j,), coeff_C(j, N - n))
+              for j in range(sum(K) // 2 + 1)]
+    return LiftedPoly(_laplacian_series(RationalPoly.monomial(K + (0,)), coeffs, range(n)),
+                      n, N)
 
 
 def build_Q_sphere(N: int, n: int, K, a2) -> RationalPoly:
@@ -82,24 +82,15 @@ def build_Q_sphere(N: int, n: int, K, a2) -> RationalPoly:
 
 
 def build_Q_gauss(n: int, K, alpha2) -> RationalPoly:
-    """Gaussian-space eigenfunction with leading monomial x^K."""
+    """Gaussian-space eigenfunction sum over j of (-alpha^2/2)^j / j! Delta^j x^K."""
     K = _as_entries(K)
     if len(K) != n:
         raise ValueError(f"K has length {len(K)}, expected n={n}")
     alpha2 = Fraction(alpha2)
     if alpha2 <= 0:
         raise ValueError("alpha2 must be positive")
-    k = sum(K)
-    xK = RationalPoly.monomial(K)
-    deltas = _laplacian_powers(xK, k // 2)
-    total = RationalPoly(n)
-    fact = 1
-    for j in range(k // 2 + 1):
-        if j:
-            fact *= j
-        q_j = Fraction((-1) ** j) * alpha2 ** j / (2 ** j * fact)
-        total = total + q_j * deltas[j]
-    return total
+    coeffs = [(-alpha2 / 2) ** j / math.factorial(j) for j in range(sum(K) // 2 + 1)]
+    return _laplacian_series(RationalPoly.monomial(K), coeffs)
 
 
 def hermite(k: int) -> RationalPoly:
@@ -136,16 +127,14 @@ def _generic_points(n: int, count: int, seed: int = 20240) -> list[tuple[Fractio
     return pts
 
 
-def projected_eigenspace_dimension(N: int, n: int, k: int, a2=None) -> int:
-    """Rank over Q of the on-sphere family of order k, evaluated at generic points.
+def projected_eigenspace_dimension(N: int, n: int, k: int) -> int:
+    """Rank over Q of the order-k family on the sphere of squared radius N, at generic points.
 
     Extra evaluation points are appended (up to three times the family size)
     before trusting a rank-deficient answer, so a degenerate point draw
     cannot fake a failure of the dimension identity.
     """
-    if a2 is None:
-        a2 = Fraction(N)
-    family = [build_Q_sphere(N, n, K, a2) for K in enumerate_multi_indices(n, k)]
+    family = [build_Q_sphere(N, n, K, N) for K in enumerate_multi_indices(n, k)]
     d = gauss_multiplicity(n, k)
     for npts in (d, 2 * d, 3 * d):
         pts = _generic_points(n, npts)

@@ -129,8 +129,6 @@ def heat_convergence_table(f: SpectralCoefficients, t: float,
     """
     if f.basis.kind != "gauss":
         raise ValueError("heat_convergence_table starts from a gauss-basis array")
-    if t < 0:
-        raise ValueError("need t >= 0")
     alpha = f.basis.alpha
     limit = heat_evolve(f, t)
     rows = []

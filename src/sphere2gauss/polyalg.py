@@ -15,6 +15,24 @@ from typing import Iterable, Mapping, Sequence
 Exponents = tuple[int, ...]
 
 
+def _sum_terms(pairs: Iterable[tuple[Exponents, Fraction]],
+               start: Mapping[Exponents, Fraction] | None = None) -> dict[Exponents, Fraction]:
+    """Term map of ``start`` plus the summed (exponents, coefficient) pairs.
+
+    A sum that reaches zero drops its term as it occurs, so a term map holds
+    no zero coefficient.  ``start`` is copied, not changed.
+    """
+    out = dict(start or {})
+    for exps, c in pairs:
+        acc = out.get(exps)
+        s = c if acc is None else acc + c
+        if s:
+            out[exps] = s
+        else:
+            out.pop(exps, None)
+    return out
+
+
 class RationalPoly:
     """Sparse polynomial in ``nvars`` variables with rational coefficients."""
 
@@ -24,25 +42,27 @@ class RationalPoly:
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        clean: dict[Exponents, Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
+
+        def checked():
+            for exps, coeff in (terms or {}).items():
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != nvars:
                     raise ValueError(f"exponent tuple {exps} has wrong length")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = Fraction(coeff)
-                if c:
-                    acc = clean.get(exps)
-                    c = c if acc is None else acc + c
-                    if c:
-                        clean[exps] = c
-                    else:
-                        clean.pop(exps, None)
-        self.terms = clean
+                yield exps, Fraction(coeff)
+
+        self.terms = _sum_terms(checked())
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _raw(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "RationalPoly":
+        """A polynomial on a term map that already holds no zero coefficient."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> "RationalPoly":
@@ -72,16 +92,7 @@ class RationalPoly:
     def __add__(self, other):
         if isinstance(other, RationalPoly):
             self._check(other)
-            out = dict(self.terms)
-            for exps, c in other.terms.items():
-                s = out.get(exps, Fraction(0)) + c
-                if s:
-                    out[exps] = s
-                else:
-                    out.pop(exps, None)
-            p = RationalPoly(self.nvars)
-            p.terms = out
-            return p
+            return RationalPoly._raw(self.nvars, _sum_terms(other.terms.items(), self.terms))
         if isinstance(other, Rational):
             return self + RationalPoly.constant(self.nvars, other)
         return NotImplemented
@@ -89,9 +100,7 @@ class RationalPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        p = RationalPoly(self.nvars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return RationalPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, RationalPoly) else RationalPoly.constant(self.nvars, -Fraction(other)))
@@ -102,25 +111,14 @@ class RationalPoly:
     def __mul__(self, other):
         if isinstance(other, RationalPoly):
             self._check(other)
-            out: dict[Exponents, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = out.get(e, Fraction(0)) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            p = RationalPoly(self.nvars)
-            p.terms = out
-            return p
+            return RationalPoly._raw(self.nvars, _sum_terms(
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()))
         if isinstance(other, Rational):
             c = Fraction(other)
             if not c:
                 return RationalPoly(self.nvars)
-            p = RationalPoly(self.nvars)
-            p.terms = {e: c * v for e, v in self.terms.items()}
-            return p
+            return RationalPoly._raw(self.nvars, {e: c * v for e, v in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -152,15 +150,9 @@ class RationalPoly:
 
     def diff(self, i: int) -> "RationalPoly":
         """Partial derivative with respect to variable ``i`` (0-based)."""
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e:
-                new = exps[:i] + (e - 1,) + exps[i + 1:]
-                out[new] = out.get(new, Fraction(0)) + c * e
-        p = RationalPoly(self.nvars)
-        p.terms = {e: c for e, c in out.items() if c}
-        return p
+        return RationalPoly._raw(self.nvars, _sum_terms(
+            (exps[:i] + (exps[i] - 1,) + exps[i + 1:], c * exps[i])
+            for exps, c in self.terms.items() if exps[i]))
 
     # -- queries --------------------------------------------------------
 
@@ -184,9 +176,6 @@ class RationalPoly:
                     term *= x ** e
             total += term
         return total
-
-    def __call__(self, *point):
-        return self.evaluate(point)
 
     def __repr__(self):
         return f"RationalPoly({self.nvars}, {dumps(self)!r})"
@@ -236,10 +225,6 @@ class LiftedPoly:
     def is_zero(self) -> bool:
         return self.base.is_zero()
 
-    def weighted_degrees(self) -> set[int]:
-        """Set of x-degree + 2*t-degree over all terms."""
-        return {sum(e[:-1]) + 2 * e[-1] for e in self.base.terms}
-
     def substitute_t(self, a2) -> RationalPoly:
         """Restrict to the sphere of squared radius ``a2``: t := a2 - |x|^2."""
         n = self.n
@@ -283,26 +268,14 @@ def lifted_laplacian(p: LiftedPoly) -> LiftedPoly:
     """
     n, N = p.n, p.N
     x_part = laplacian(p.base, range(n))
-    out = dict(x_part.terms)
-    for exps, c in p.base.terms.items():
-        j = exps[-1]
-        if j:
-            e = exps[:-1] + (j - 1,)
-            s = out.get(e, Fraction(0)) + c * 2 * j * (N - n + 2 * j - 1)
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    q = RationalPoly(n + 1)
-    q.terms = out
-    return LiftedPoly(q, n, N)
+    t_part = ((exps[:-1] + (j - 1,), c * 2 * j * (N - n + 2 * j - 1))
+              for exps, c in p.base.terms.items() if (j := exps[-1]))
+    return LiftedPoly(RationalPoly._raw(n + 1, _sum_terms(t_part, x_part.terms)), n, N)
 
 
 def euler_pairing(p: RationalPoly) -> RationalPoly:
     """<x, grad p>; multiplies each monomial by its total degree."""
-    out = RationalPoly(p.nvars)
-    out.terms = {e: c * sum(e) for e, c in p.terms.items() if sum(e)}
-    return out
+    return RationalPoly._raw(p.nvars, {e: c * sum(e) for e, c in p.terms.items() if sum(e)})
 
 
 # -- serialization ------------------------------------------------------
@@ -330,10 +303,6 @@ def dumps(p: RationalPoly, lifted: bool = False) -> str:
         coeff = str(c)
         lines.append(coeff if not factors else coeff + " * " + " ".join(factors))
     return "\n".join(lines)
-
-
-def dumps_lifted(p: LiftedPoly) -> str:
-    return dumps(p.base, lifted=True)
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:

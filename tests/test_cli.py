@@ -181,6 +181,18 @@ def test_output_file(capsys, tmp_path):
     assert target.read_text().startswith("N,k,lhs,rhs,abs_err")
 
 
+def test_converge_dirichlet_nan_residual_exit_1(capsys):
+    # at alpha = 1e-160 every eigenvalue overflows and both certificates read
+    # NaN: a NaN residual fails the certificate as one above tol does
+    code, out, err = _run(capsys, "converge-dirichlet", "--alpha", "1e-160", "--R", "0.5",
+                          "--N", "25", "50")
+    assert code == 1
+    assert err == "error: residual exceeds tolerance at N = 25, 50\n"
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["N"], r["lhs"], r["error"]) for r in rows] == [
+        ("25", "", "residual exceeds tolerance"), ("50", "", "residual exceeds tolerance")]
+
+
 @pytest.mark.parametrize("row", ["25,4.9", "25,4.9,x"])
 def test_malformed_schedule_row_exit_2(capsys, tmp_path, row):
     sched = tmp_path / "schedule.csv"

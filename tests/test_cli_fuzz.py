@@ -9,7 +9,10 @@ inputs.
 """
 
 import contextlib
+import csv
 import io
+import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sphere2gauss.cli import main
 
 EDGE = ["0", "-0", "-1", "1/0", "nan", "-nan", "inf", "-inf", "1e308", "-1e308",
-        "1e400", "1e-320"]
+        "1e400", "1e-160", "1e-320"]
 JUNK = ["", "abc", "1,5", "0x10", "--", "1/2/3", "two"]
 
 
@@ -82,6 +85,7 @@ def _options(required, optional=None):
 
 COMMON = _options({}, {"--format": st.sampled_from(["csv", "json", "xml"])})
 NO_TABLE = {"verify", "dump-poly"}  # the subcommands that take no --format
+CERTIFIED = {"cap-eigen", "halfspace-eigen", "converge-dirichlet"}  # tables with residuals
 
 # a cap solve climbs a recurrence to a degree of about 2.4/theta, so its time
 # grows like 1/theta: the drawn apertures (--theta, the schedule's theta_N and
@@ -151,3 +155,12 @@ def test_cli_fuzz(workdir, command, data):
     assert "Traceback" not in err
     if code and not err.startswith("usage:"):
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 0 and command in CERTIFIED:
+        # a table that passed its certificates carries finite residuals
+        text = out.getvalue()
+        rows = (json.loads(text)["rows"] if text.startswith("{")
+                else list(csv.DictReader(io.StringIO(text))))
+        for row in rows:
+            for column, value in row.items():
+                if column.startswith("residual") and value:
+                    assert math.isfinite(float(value)), (column, value)

@@ -4,9 +4,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from sphere2gauss.polyalg import (LiftedPoly, RationalPoly, dumps, dumps_lifted,
-                                  euler_pairing, laplacian, lifted_laplacian,
-                                  rational_rank)
+from sphere2gauss.polyalg import (LiftedPoly, RationalPoly, dumps, euler_pairing,
+                                  laplacian, lifted_laplacian, rational_rank)
 
 
 def _coeffs():
@@ -143,4 +142,4 @@ def test_dumps_deterministic_and_rational():
 
 def test_dumps_lifted_names_t():
     p = LiftedPoly(RationalPoly.monomial((1, 2), Fraction(3)), 1, 5)
-    assert dumps_lifted(p) == "3 * x1^1 t^2"
+    assert dumps(p.base, lifted=True) == "3 * x1^1 t^2"
