@@ -44,7 +44,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(args, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(out, header: list[str], rows) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _emit(args, columns: list[str], rows: list[dict], plot=None) -> None:
+    """The table to ``--output``; ``plot``, its (x, y) pairs, to ``--emit-plot-data``."""
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     try:
         if args.format == "json":
@@ -53,21 +60,13 @@ def _emit(args, columns: list[str], rows: list[dict]) -> None:
             json.dump(payload, out, indent=2)
             out.write("\n")
         else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(columns)
-            for r in rows:
-                writer.writerow([_fmt(r.get(c, "")) for c in columns])
+            _write_csv(out, columns, ([r.get(c, "") for c in columns] for r in rows))
     finally:
         if out is not sys.stdout:
             out.close()
-
-
-def _emit_plot(path: str, pairs: list[tuple]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x", "y"])
-        for x, y in pairs:
-            writer.writerow([_fmt(x), _fmt(y)])
+    if plot is not None and args.emit_plot_data:
+        with open(args.emit_plot_data, "w", newline="") as fh:
+            _write_csv(fh, ["x", "y"], plot)
 
 
 def _meta(args) -> dict:
@@ -152,16 +151,12 @@ def _cmd_closed_spectrum(args) -> int:
         for k in range(args.kmax + 1):
             rows.append({"k": k, "lambda": Fraction(k * (k + args.N - 1)) / a2,
                          "multiplicity": sphere_multiplicity(args.N, k)})
-        columns = ["k", "lambda", "multiplicity"]
     else:
         alpha2 = _positive_square(args.alpha, "--alpha")
         for k in range(args.kmax + 1):
             rows.append({"k": k, "lambda": Fraction(k) / alpha2,
                          "multiplicity": gauss_multiplicity(args.n, k)})
-        columns = ["k", "lambda", "multiplicity"]
-    _emit(args, columns, rows)
-    if args.emit_plot_data:
-        _emit_plot(args.emit_plot_data, [(r["k"], r["lambda"]) for r in rows])
+    _emit(args, ["k", "lambda", "multiplicity"], rows, [(r["k"], r["lambda"]) for r in rows])
     return 0
 
 
@@ -169,10 +164,8 @@ def _cmd_converge_closed(args) -> int:
     table = closed_spectrum_table(args.n, _rational(args.alpha, "--alpha"), args.kmax, args.N)
     rows = [{"N": r.N, "k": r.k, "lhs": r.lhs, "rhs": r.rhs, "abs_err": r.abs_err}
             for r in table]
-    _emit(args, ["N", "k", "lhs", "rhs", "abs_err"], rows)
-    if args.emit_plot_data:
-        _emit_plot(args.emit_plot_data,
-                   [(r["N"], r["abs_err"]) for r in rows if r["k"] == args.kmax])
+    _emit(args, ["N", "k", "lhs", "rhs", "abs_err"], rows,
+          [(r["N"], r["abs_err"]) for r in rows if r["k"] == args.kmax])
     return 0
 
 
@@ -207,17 +200,14 @@ def _cmd_converge_dirichlet(args) -> int:
         row = {"N": r.N, "lhs": r.lhs, "rhs": r.rhs, "abs_err": r.abs_err,
                "residual_lhs": r.residual_lhs, "residual_rhs": r.residual_rhs,
                "hyp_ok": r.hypotheses_ok, "note": r.note}
-        if not r.note and not (_certified(r.residual_lhs, args.tol)
-                               and _certified(r.residual_rhs, args.tol)):
+        if not (_certified(r.residual_lhs, args.tol) and _certified(r.residual_rhs, args.tol)):
             row = {"N": r.N, "note": r.note,
                    "error": "residual exceeds tolerance"}
             failed.append(str(r.N))
         rows.append(row)
     _emit(args, ["N", "lhs", "rhs", "abs_err", "residual_lhs", "residual_rhs",
-                 "hyp_ok", "note", "error"], rows)
-    if args.emit_plot_data:
-        _emit_plot(args.emit_plot_data,
-                   [(r["N"], r["abs_err"]) for r in rows if "abs_err" in r])
+                 "hyp_ok", "note", "error"], rows,
+          [(r["N"], r["abs_err"]) for r in rows if "abs_err" in r])
     return _fail(f"residual exceeds tolerance at N = {', '.join(failed)}") if failed else 0
 
 
@@ -225,9 +215,7 @@ def _cmd_nu(args) -> int:
     nu_of_s = _bind(globals(), "nu_of_s")
     rows = [{"N": N, "s": args.s, "nu": nu_of_s(N, args.s, args.tol)}
             for N in range(args.N_from, args.N_to + 1)]
-    _emit(args, ["N", "s", "nu"], rows)
-    if args.emit_plot_data:
-        _emit_plot(args.emit_plot_data, [(r["N"], r["nu"]) for r in rows])
+    _emit(args, ["N", "s", "nu"], rows, [(r["N"], r["nu"]) for r in rows])
     return 0
 
 
@@ -238,9 +226,8 @@ def _cmd_heat(args) -> int:
     rows = [{"N": r.N, "l2_distance": r.l2_distance,
              "energy_sphere": r.energy_sphere, "energy_gauss": r.energy_gauss}
             for r in table]
-    _emit(args, ["N", "l2_distance", "energy_sphere", "energy_gauss"], rows)
-    if args.emit_plot_data:
-        _emit_plot(args.emit_plot_data, [(r["N"], r["l2_distance"]) for r in rows])
+    _emit(args, ["N", "l2_distance", "energy_sphere", "energy_gauss"], rows,
+          [(r["N"], r["l2_distance"]) for r in rows])
     return 0
 
 

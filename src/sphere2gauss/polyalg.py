@@ -228,19 +228,13 @@ class LiftedPoly:
     def substitute_t(self, a2) -> RationalPoly:
         """Restrict to the sphere of squared radius ``a2``: t := a2 - |x|^2."""
         n = self.n
-        a2 = Fraction(a2)
-        norm2 = RationalPoly(n)
-        for i in range(n):
-            norm2 = norm2 + RationalPoly.monomial(tuple(2 if j == i else 0 for j in range(n)))
-        repl = RationalPoly.constant(n, a2) - norm2
-        out = RationalPoly(n)
-        powers: dict[int, RationalPoly] = {0: RationalPoly.constant(n, 1)}
-        for exps, c in self.base.terms.items():
-            j = exps[-1]
-            if j not in powers:
-                powers[j] = repl ** j
-            out = out + RationalPoly.monomial(exps[:-1], c) * powers[j]
-        return out
+        repl = RationalPoly(n, {(0,) * n: a2, **{
+            tuple(2 * (j == i) for j in range(n)): -1 for i in range(n)}})
+        powers = {j: (repl ** j).terms for j in {exps[-1] for exps in self.base.terms}}
+        # zip stops at a term's n x exponents and so leaves out its t slot
+        return RationalPoly._raw(n, _sum_terms(
+            (tuple(a + b for a, b in zip(exps, e)), c * d)
+            for exps, c in self.base.terms.items() for e, d in powers[exps[-1]].items()))
 
     def evaluate(self, x: Sequence, t):
         return self.base.evaluate(list(x) + [t])

@@ -140,6 +140,12 @@ def test_emit_plot_data(capsys, tmp_path):
     assert len(lines) == 3  # one (N, abs_err) pair per N at k=kmax
 
 
+# the (x, y) columns of each subcommand's --emit-plot-data file
+PLOTTED = {"closed-spectrum": ("k", "lambda"), "converge-closed": ("N", "abs_err"),
+           "converge-dirichlet": ("N", "abs_err"), "nu": ("N", "nu"),
+           "heat": ("N", "l2_distance")}
+
+
 def test_every_output_option_writes_its_file(capsys, tmp_path):
     coeffs = tmp_path / "coeffs.txt"
     coeffs.write_text("1 1.0\n2 0.5\n")
@@ -161,15 +167,39 @@ def test_every_output_option_writes_its_file(capsys, tmp_path):
         options = {o for a in parser._actions for o in a.option_strings}
         if "--emit-plot-data" in options:
             plot = tmp_path / f"{command}-plot.csv"
-            code, _, _ = _run(capsys, command, *argvs[command], "--emit-plot-data", str(plot))
+            code, out, _ = _run(capsys, command, *argvs[command], "--emit-plot-data", str(plot))
             assert code == 0
-            assert plot.read_text().splitlines()[0] == "x,y", command
+            # the plot rows are the two plotted columns of the same run's table
+            x, y = PLOTTED[command]
+            table = list(csv.DictReader(io.StringIO(out)))
+            if command == "converge-closed":
+                table = [r for r in table if r["k"] == "2"]  # k = kmax
+            elif command == "converge-dirichlet":
+                table = [r for r in table if r["abs_err"]]
+            pairs = list(csv.reader(io.StringIO(plot.read_text())))
+            assert table and pairs == [["x", "y"]] + [[r[x], r[y]] for r in table], command
         if "--output" in options:
             target = tmp_path / f"{command}.out"
             code, out, _ = _run(capsys, command, *argvs[command], "--output", str(target))
             assert code == 0
             assert out == "", command
             assert target.read_text(), command
+
+
+@pytest.mark.parametrize("argv", [
+    ("--alpha", "1", "--R", "5", "--N", "3", "--tol", "1e-20"),
+    ("--alpha", "1e-160", "--R", "5", "--N", "3"),
+])
+def test_converge_dirichlet_certifies_skipped_rows(capsys, argv):
+    # N = 3 is skipped (|alpha R| >= a_N), and the half-line residual printed
+    # on its row fails: above 1e-20 in the first run, NaN in the second
+    code, out, err = _run(capsys, "converge-dirichlet", *argv)
+    assert code == 1
+    assert err == "error: residual exceeds tolerance at N = 3\n"
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["error"] == "residual exceeds tolerance"
+    assert row["note"].startswith("skipped: ")
+    assert row["residual_rhs"] == ""
 
 
 def test_output_file(capsys, tmp_path):

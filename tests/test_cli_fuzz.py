@@ -12,7 +12,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -156,11 +155,12 @@ def test_cli_fuzz(workdir, command, data):
     if code and not err.startswith("usage:"):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     if code == 0 and command in CERTIFIED:
-        # a table that passed its certificates carries finite residuals
+        # a table that passed its certificates prints no residual above --tol
+        tol = float(argv[argv.index("--tol") + 1]) if "--tol" in argv else 1e-8
         text = out.getvalue()
         rows = (json.loads(text)["rows"] if text.startswith("{")
                 else list(csv.DictReader(io.StringIO(text))))
         for row in rows:
             for column, value in row.items():
                 if column.startswith("residual") and value:
-                    assert math.isfinite(float(value)), (column, value)
+                    assert float(value) <= tol, (column, value, tol)

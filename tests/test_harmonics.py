@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from sphere2gauss.harmonics import (build_P, build_Q_gauss, build_Q_sphere, chec
                                     coeff_C, hermite, ou_apply,
                                     projected_eigenspace_dimension)
 from sphere2gauss.indices import MultiIndex, enumerate_multi_indices, gauss_multiplicity
-from sphere2gauss.polyalg import RationalPoly, dumps
+from sphere2gauss.polyalg import RationalPoly, dumps, laplacian
 
 
 def test_coeff_C_first_values():
@@ -159,3 +160,65 @@ def test_projected_dimension_matches_gauss(n, k):
 def test_enumerate_consistency_with_family_size():
     K_list = enumerate_multi_indices(2, 3)
     assert len(K_list) == gauss_multiplicity(2, 3) == 4
+
+
+# -- the dimension identity, proved ----------------------------------------
+# The top-degree part of the lift x^K -> Q_K is T = sum_j C_j(m) (-|x|^2)^j Delta^j,
+# m = N - n.  On the Fischer summand |x|^{2i} h_p, h_p harmonic of degree p,
+# T scales by mu_i = sum_{j<=i} prod_{l<=j} c_l / (2l(m+2l-1)) with
+# c_l = 2(i-l+1)(2(i-l+1)+2p+n-2).  Every term is >= 0 and the j = 0 term is
+# 1, so mu_i >= 1: T is invertible on the degree-k polynomials, and the
+# order-k family is independent for every N >= n, every a^2 and every k.
+
+
+def _norm2(n):
+    return sum((RationalPoly.monomial(tuple(2 * (j == i) for j in range(n)))
+                for i in range(n)), RationalPoly(n))
+
+
+def _T(f, m):
+    total, delta = RationalPoly(f.nvars), f
+    for j in range(f.degree() // 2 + 1):
+        total = total + coeff_C(j, m) * (-_norm2(f.nvars)) ** j * delta
+        delta = laplacian(delta)
+    return total
+
+
+def test_lift_top_degree_part_is_T_of_monomial():
+    for n in range(1, 4):
+        for N in range(n, 9):
+            for k in range(6):
+                for K in enumerate_multi_indices(n, k):
+                    TxK = _T(RationalPoly.monomial(K), N - n)
+                    for a2 in (Fraction(1), Fraction(N), Fraction(2, 3)):
+                        Q = build_Q_sphere(N, n, K, a2)
+                        top = {e: c for e, c in Q.terms.items() if sum(e) == k}
+                        assert top == TxK.terms, (N, K, a2)
+
+
+def _harmonic(n, p):
+    """Re (x1 + i x2)^p for n >= 2; 1 or x1 for n = 1."""
+    return RationalPoly(n, {((p - r, r) + (0,) * (n - 2))[:n]: (-1) ** (r // 2) * math.comb(p, r)
+                            for r in range(0, p + 1, 2)})
+
+
+def _mu(i, p, n, m):
+    total = term = Fraction(1)
+    for l in range(1, i + 1):
+        c = 2 * (i - l + 1) * (2 * (i - l + 1) + 2 * p + n - 2)
+        term *= Fraction(c, 2 * l * (m + 2 * l - 1))
+        total += term
+    return total
+
+
+def test_T_scales_each_fischer_summand_by_mu_at_least_one():
+    for n in range(1, 5):
+        for m in range(9):
+            for p in range(2 if n == 1 else 5):
+                h = _harmonic(n, p)
+                assert laplacian(h).is_zero()
+                for i in range(3):
+                    f = _norm2(n) ** i * h
+                    mu = _mu(i, p, n, m)
+                    assert mu >= 1
+                    assert _T(f, m) == mu * f, (n, m, p, i)
