@@ -145,6 +145,9 @@ def _positive_square(text: str, option: str) -> Fraction:
 
 
 def _cmd_closed_spectrum(args) -> int:
+    size = "N" if args.space == "sphere" else "n"
+    if args.kmax < 0 or getattr(args, size) < 1:
+        raise ValueError(f"need --kmax >= 0 and --{size} >= 1")
     rows = []
     if args.space == "sphere":
         a2 = _positive_square(args.a, "--a")

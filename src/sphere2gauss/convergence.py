@@ -84,9 +84,9 @@ def check_hypotheses(alpha: float, R: float, aN: float, thetaN: float,
                      N: int) -> bool:
     """The two standing hypotheses: a_N cos(theta_N) >= alpha*R and A_N bounded.
 
-    Boundedness of A_N = (a_N^2 - alpha^2 (N-2))/a_N is checked against the
-    canonical value alpha^2/a_2 + alpha (any fixed finite bound works; the
-    canonical schedule gives A_N = alpha^2/a_N <= alpha).
+    Boundedness of A_N = (a_N^2 - alpha^2 (N-2))/a_N is checked as
+    A_N < alpha (1 + alpha) + 1 (any fixed finite bound works; the canonical
+    schedule gives A_N = alpha^2/a_N <= alpha).
     """
     slack = 1e-12 * max(1.0, abs(alpha * R))
     boundary_ok = aN * math.cos(thetaN) >= alpha * R - slack
@@ -110,6 +110,8 @@ def dirichlet_convergence_table(alpha: float, R: float, N_list: Sequence[int],
     a diagnostic note instead of an eigenvalue.  A row is marked invalid
     (hypotheses_ok False) unless both residual certificates pass.
     """
+    if any(N < 2 for N in N_list):
+        raise ValueError("need N >= 2")
     cap_eigenvalue = _bind(globals(), "cap_eigenvalue")
     limit = _bind(globals(), "halfline_eigenvalue")(alpha, R, 0, 1, tol)
     rows = []

@@ -108,33 +108,6 @@ def _effective_zero_count(values: np.ndarray) -> int:
     return interior
 
 
-def _bracket_branch(count, j: int, hi0: float):
-    """Locate adjacent spectral parameters with oscillation counts j-1 and j."""
-    lo = 1e-12
-    count_lo = count(lo)
-    if count_lo >= j:
-        raise SolverError("oscillation count at the bottom of the bracket is too high")
-    hi = hi0
-    count_hi = count(hi)
-    grow = 0
-    while count_hi < j:
-        hi *= 2.0
-        grow += 1
-        if grow > _MAX_GROW:
-            raise SolverError(f"no bracket found below nu = {hi:g}")
-        count_hi = count(hi)
-    while not (count_lo == j - 1 and count_hi == j):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise SolverError("bracket collapsed before isolating the branch")
-        count_mid = count(mid)
-        if count_mid >= j:
-            hi, count_hi = mid, count_mid
-        else:
-            lo, count_lo = mid, count_mid
-    return lo, hi
-
-
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
     """Root of f between xa and xb by the Brent-Dekker iteration of scipy's brentq.
 
@@ -194,28 +167,63 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
     raise SolverError(f"root not isolated to tolerance in {maxiter} steps")
 
 
-def _branch_root(on_grid, at_boundary, j: int, hi0: float, tol: float):
-    """Root of branch j and the number of closed-form evaluations it took.
+def _locate(sample, at_boundary, j: int, hi0: float, tol: float):
+    """Root nu of branch j, the closed-form evaluations spent, and ``sample(nu)``.
 
-    ``on_grid(x)`` samples the profile from its far end to the boundary;
-    ``at_boundary(x)`` is its last value.  The parity-corrected counts give
-    opposite boundary signs across the bracket, which holds one root.
+    ``sample(x)`` gives the count grid, from the profile's far end to the
+    boundary, and the profile on it; ``at_boundary(x)`` is the profile's
+    last value.  Oscillation-count bisection isolates adjacent parameters
+    with counts j-1 and j; their parity-corrected counts give opposite
+    boundary signs, so one Brent-Dekker root-find locates nu between them.
     """
     calls = 0
 
     def count(x):
         nonlocal calls
         calls += 1
-        return _effective_zero_count(on_grid(x))
+        return _effective_zero_count(sample(x)[1])
 
     def end(x):
         nonlocal calls
         calls += 1
         return at_boundary(x)
 
-    lo, hi = _bracket_branch(count, j, hi0)
+    lo = 1e-12
+    count_lo = count(lo)
+    if count_lo >= j:
+        raise SolverError("oscillation count at the bottom of the bracket is too high")
+    hi = hi0
+    count_hi = count(hi)
+    grow = 0
+    while count_hi < j:
+        hi *= 2.0
+        grow += 1
+        if grow > _MAX_GROW:
+            raise SolverError(f"no bracket found below nu = {hi:g}")
+        count_hi = count(hi)
+    while not (count_lo == j - 1 and count_hi == j):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            raise SolverError("bracket collapsed before isolating the branch")
+        count_mid = count(mid)
+        if count_mid >= j:
+            hi, count_hi = mid, count_mid
+        else:
+            lo, count_lo = mid, count_mid
     root = _brentq(end, lo, hi, xtol=sys.float_info.min, rtol=max(1e-3 * tol, 4 * _EPS))
-    return root, calls
+    return root, calls, *sample(root)
+
+
+def _certify(lam: float, values: np.ndarray, j: int, samples: np.ndarray, iterations: int,
+             profile, ode) -> EigenResult:
+    """The result with its residual certificate; its count grid must hold j-1 zeros."""
+    zeros = _count_sign_changes(values[:-1])
+    result = EigenResult(lam=lam, residual=math.nan, zeros=zeros, samples=samples,
+                         iterations=iterations, profile=profile, ode=ode)
+    result.residual = ode_residual(result)
+    if zeros != j - 1:
+        raise SolverError(f"converged eigenfunction has {zeros} interior zeros, expected {j - 1}")
+    return result
 
 
 def ode_residual(result: EigenResult) -> float:
@@ -319,25 +327,22 @@ def cap_eigenvalue(N: int, a: float, theta: float, k: int = 0, j: int = 1,
     half = k + (N - 1) / 2
     u_window = math.acos(min(1.0, t_b + _WINDOW / math.sqrt(N)))
 
-    def far_end(n):
+    def sample(n):
         # w = sin^((N-1)/2)(u) f solves w'' + (L^2 - M / sin^2 u) w = 0 with
         # L = n + half and M = half (half - 1); below the turning point
         # u* = asin(sqrt(M) / L) w is positive and convex, so no zero lies there
         L, M = n + half, max(half * (half - 1), 0.0)
-        return min(u_window, math.asin(math.sqrt(M) / L)), math.sqrt(L * L - M)
+        u_far = min(u_window, math.asin(math.sqrt(M) / L))
+        u = np.linspace(u_far, theta, _count_points(theta - u_far, math.sqrt(L * L - M)))
+        return u, _cap_form(n, N, k)(np.cos(u))
 
-    def count_u(n):
-        u_far, wavenumber = far_end(n)
-        return np.linspace(u_far, theta, _count_points(theta - u_far, wavenumber))
-
-    n, iterations = _branch_root(lambda n: _cap_form(n, N, k)(np.cos(count_u(n))),
-                                 lambda n: float(_cap_form(n, N, k)(t_b)),
-                                 j, 2.0 * j, tol)
+    n, iterations, u, values = _locate(sample, lambda n: float(_cap_form(n, N, k)(t_b)),
+                                       j, 2.0 * j, tol)
     nu = n + k
     F = _cap_form(n, N, k)
-    u = count_u(n)
-    values = F(np.cos(u))
-    zeros = _count_sign_changes(values[:-1])
+
+    def shape(t):
+        return (1.0 - t * t) ** (k / 2) * F(t)
 
     # the weight is sin^(N-1)(u) and the profile sin^k(u) F; for odd k the
     # factor sin^k(u) is not smooth at the pole, so stop at u = theta/4
@@ -345,25 +350,16 @@ def cap_eigenvalue(N: int, a: float, theta: float, k: int = 0, j: int = 1,
         log_amplitude = np.log(np.abs(values)) + half * np.log(np.sin(u))
     span = a * (math.cos(max(_weighted_extent(u, log_amplitude), 0.25 * theta)) - t_b)
     r_grid = np.linspace(a * t_b + 1e-3 * span, a * t_b + span, _GRID)
-    t_grid = r_grid / a
-    samples = np.column_stack([r_grid, (1.0 - t_grid ** 2) ** (k / 2) * F(t_grid)])
+    samples = np.column_stack([r_grid, shape(r_grid / a)])
 
     def profile(r: float) -> float:
-        if r <= a * t_b or r > a:
-            return 0.0
-        t = r / a
-        return float((1.0 - t * t) ** (k / 2) * F(t))
+        return 0.0 if r <= a * t_b or r > a else float(shape(r / a))
 
     def ode(r):
         c2 = 1.0 - (r / a) ** 2
         return c2, -N * r / a ** 2, k * (k + N - 2) / (a ** 2 * c2)
 
-    result = EigenResult(lam=nu * (nu + N - 1) / (a * a), residual=math.nan, zeros=zeros,
-                         samples=samples, iterations=iterations, profile=profile, ode=ode)
-    result.residual = ode_residual(result)
-    if zeros != j - 1:
-        raise SolverError(f"converged eigenfunction has {zeros} interior zeros, expected {j - 1}")
-    return result
+    return _certify(nu * (nu + N - 1) / (a * a), values, j, samples, iterations, profile, ode)
 
 
 # -- Gaussian half-line ---------------------------------------------------
@@ -415,20 +411,15 @@ def halfline_eigenvalue(alpha: float, R: float, k: int = 0, j: int = 1,
     if not 0 < alpha < math.inf or not math.isfinite(R) or k < 0 or j < 1 or not tol > 0:
         raise ValueError("invalid half-line problem parameters")
 
-    def far_end(nu):
+    def sample(nu):
         # D_nu has no zero past the turning point sqrt(4 nu + 2)
-        return max(R + _WINDOW, math.sqrt(4 * nu + 2))
+        far = max(R + _WINDOW, math.sqrt(4 * nu + 2))
+        x = np.linspace(far, R, _count_points(far - R, math.sqrt(nu + 0.5)))
+        return x, _hermite_form(nu)(x)
 
-    def count_x(nu):
-        far = far_end(nu)
-        return np.linspace(far, R, _count_points(far - R, math.sqrt(nu + 0.5)))
-
-    nu, iterations = _branch_root(lambda nu: _hermite_form(nu)(count_x(nu)),
-                                  lambda nu: float(_hermite_form(nu)(R)), j, 4.0 * j, tol)
+    nu, iterations, x, values = _locate(sample, lambda nu: float(_hermite_form(nu)(R)),
+                                        j, 4.0 * j, tol)
     h = _hermite_form(nu)
-    x = count_x(nu)
-    values = h(x)
-    zeros = _count_sign_changes(values[:-1])
 
     # the weight is exp(-x^2/2), so the weighted profile is D_nu(x)
     with np.errstate(divide="ignore"):
@@ -437,19 +428,12 @@ def halfline_eigenvalue(alpha: float, R: float, k: int = 0, j: int = 1,
     samples = np.column_stack([alpha * x_grid, h(x_grid)])
 
     def profile(r: float) -> float:
-        if r <= alpha * R:
-            return 0.0
-        return float(h(r / alpha))
+        return 0.0 if r <= alpha * R else float(h(r / alpha))
 
     def ode(r):
         return 1.0, -r / alpha ** 2, k / alpha ** 2
 
-    result = EigenResult(lam=(nu + k) / (alpha * alpha), residual=math.nan, zeros=zeros,
-                         samples=samples, iterations=iterations, profile=profile, ode=ode)
-    result.residual = ode_residual(result)
-    if zeros != j - 1:
-        raise SolverError(f"converged eigenfunction has {zeros} interior zeros, expected {j - 1}")
-    return result
+    return _certify((nu + k) / (alpha * alpha), values, j, samples, iterations, profile, ode)
 
 
 # -- Friedland-Hayman exponent -------------------------------------------

@@ -75,8 +75,8 @@ class SpectralCoefficients:
 
     def energy(self) -> float:
         """Dirichlet/Cheeger energy sum lambda_{|K|} * c_K^2 in this basis."""
-        return sum(self.basis.eigenvalue(K.order()) * c * c
-                   for K, c in self.entries.items())
+        return sum((self.basis.eigenvalue(K.order()) * c * c
+                    for K, c in self.entries.items()), 0.0)
 
 
 def heat_evolve(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
@@ -101,6 +101,8 @@ def recovery_sequence(f: SpectralCoefficients, N: int) -> SpectralCoefficients:
     """
     if f.basis.kind != "gauss":
         raise ValueError("recovery sequence starts from a gauss-basis array")
+    if N < 2:
+        raise ValueError("need N >= 2")
     alpha = f.basis.alpha
     aN = alpha * math.sqrt(N - 1)
     aN2 = aN * aN
@@ -129,6 +131,8 @@ def heat_convergence_table(f: SpectralCoefficients, t: float,
     """
     if f.basis.kind != "gauss":
         raise ValueError("heat_convergence_table starts from a gauss-basis array")
+    if any(N < 2 for N in N_list):
+        raise ValueError("need N >= 2")
     alpha = f.basis.alpha
     limit = heat_evolve(f, t)
     rows = []

@@ -251,6 +251,55 @@ def test_closed_spectrum_zero_scale_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("closed-spectrum", "--kmax", "-1"),
+    ("closed-spectrum", "--space", "sphere", "--N", "0", "--kmax", "-1"),
+    ("closed-spectrum", "--space", "gauss", "--n", "0", "--kmax", "-1"),
+])
+def test_closed_spectrum_rejects_an_empty_k_range(capsys, argv):
+    # an empty k range is an input error, not an empty table
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need --kmax >= 0 and --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("converge-dirichlet", "--alpha", "1", "--R", "0.5", "--N", "0"),
+    ("converge-dirichlet", "--alpha", "1", "--R", "0.5", "--N", "-3"),
+    ("converge-dirichlet", "--alpha", "1", "--R", "0.5", "--N", "1"),
+    ("converge-dirichlet", "--alpha", "1", "--R", "0.5", "--N", "25", "1"),
+    ("cheeger", "--alpha", "1", "--N", "1", "--coeffs", "{zonal}"),
+    ("cheeger", "--alpha", "1", "--N", "1", "--coeffs", "{linear}"),
+    ("cheeger", "--alpha", "1", "--N", "0", "--coeffs", "{linear}"),
+    ("heat", "--alpha", "1", "--t", "1", "--N", "0", "--coeffs", "{zonal}"),
+    ("heat", "--alpha", "1", "--t", "1", "--N", "10", "1", "--coeffs", "{linear}"),
+])
+def test_sphere_dimension_below_two_exit_2(capsys, tmp_path, argv):
+    # S^N(a_N) needs N >= 2, whether N = 1 would be skipped, divide by a_N = 0
+    # or take the root of N - 1 < 0
+    files = {"zonal": tmp_path / "zonal.txt", "linear": tmp_path / "linear.txt"}
+    files["zonal"].write_text("0 1.0\n")
+    files["linear"].write_text("1 2.0\n")
+    code, out, err = _run(capsys, *(a.format(**files) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err == "error: need N >= 2\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", [["heat", "--t", "1"], ["cheeger"]])
+@pytest.mark.parametrize("text", ["", "0 0.0\n1 0\n"], ids=["empty", "zeros"])
+def test_zero_energy_prints_as_float(capsys, tmp_path, command, text, fmt):
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text(text)
+    code, out, _ = _run(capsys, *command, "--alpha", "1", "--N", "10",
+                        "--coeffs", str(coeffs), "--format", fmt)
+    assert code == 0
+    (row,) = json.loads(out)["rows"] if fmt == "json" else csv.DictReader(io.StringIO(out))
+    assert row["energy_sphere"] == row["energy_gauss"] == "0.0000000000000000e+00"
+
+
 @pytest.mark.parametrize("R", ["nan", "inf", "-1e400"])
 def test_halfspace_eigen_non_finite_boundary_exit_2(capsys, R):
     code, out, err = _run(capsys, "halfspace-eigen", "--alpha", "1", f"--R={R}")

@@ -307,3 +307,44 @@ def test_halfline_rejects_non_finite_boundary(R):
         halfline_eigenvalue(1.0, R)
     with pytest.raises(ValueError):
         halfline_eigenvalue(math.inf, 0.0 if math.isnan(R) else 1.0)
+
+
+# (solver, (alpha, R, N, k, j) on the canonical schedule for the cap or
+# (alpha, R, k, j) for the half-line, lambda, zeros, closed-form evaluations)
+PINNED_SOLVES = [
+    ("cap", (1.0, -3.0, 12, 0, 1), 0.00021442472000183287, 0, 11),
+    ("cap", (1.0, -3.0, 24, 0, 1), 0.004476363946866825, 0, 12),
+    ("cap", (1.0, -3.0, 48, 0, 1), 0.007886136867937054, 0, 13),
+    ("cap", (0.83, -1.0, 25, 1, 2), 4.783618241946307, 1, 12),
+    ("cap", (1.21, 0.5, 50, 2, 3), 6.246068645891129, 2, 13),
+    ("cap", (1.0, 3.0, 100, 3, 1), 9.601477595893279, 0, 19),
+    ("cap", (0.83, 5.0, 200, 0, 2), 24.40975345662495, 1, 18),
+    ("cap", (1.21, 2.0, 1000, 1, 1), 3.0434749864082224, 0, 18),
+    ("cap", (1.0, 0.0, 5, 2, 2), 11.25, 1, 14),
+    ("cap", (1.21, -2.0, 12, 3, 3), 5.348702242874263, 2, 15),
+    ("cap", (0.83, 4.0, 30, 0, 3), 60.27498970194044, 2, 17),
+    ("halfline", (1.0, -3.0, 0, 1), 0.011605703647389129, 0, 12),
+    ("halfline", (0.83, -1.0, 1, 2), 4.354768471477356, 1, 8),
+    ("halfline", (1.21, 0.5, 2, 3), 5.326691731682894, 2, 15),
+    ("halfline", (1.0, 3.0, 3, 1), 8.295425514116864, 0, 16),
+    ("halfline", (0.83, 5.0, 0, 2), 20.826002710418532, 1, 18),
+    ("halfline", (1.21, 2.0, 1, 1), 3.0222086670138255, 0, 14),
+    ("halfline", (1.0, 0.0, 2, 2), 5.0, 1, 14),
+    ("halfline", (1.21, -2.0, 3, 3), 3.9568631069528033, 2, 15),
+    ("halfline", (0.83, 4.0, 0, 3), 20.84572137907843, 2, 18),
+]
+
+
+@pytest.mark.parametrize("solver, params, lam, zeros, iterations", PINNED_SOLVES)
+def test_pinned_solves_keep_their_work(solver, params, lam, zeros, iterations):
+    # the evaluation count is the work a solve does: bracketing, root-find and
+    # the final recount must make the same closed-form evaluations
+    if solver == "cap":
+        alpha, R, N, k, j = params
+        aN = alpha * math.sqrt(N - 1)
+        res = cap_eigenvalue(N, aN, math.acos(alpha * R / aN), k, j)
+    else:
+        res = halfline_eigenvalue(*params)
+    assert res.lam == pytest.approx(lam, rel=1e-13, abs=0)
+    assert res.zeros == zeros
+    assert res.iterations == iterations
