@@ -215,6 +215,10 @@ def _cmd_converge_dirichlet(args) -> int:
 
 
 def _cmd_nu(args) -> int:
+    if args.N_from < 2:
+        raise ValueError("need N >= 2")
+    if args.N_to < args.N_from:
+        raise ValueError("need --N-to >= --N-from")
     nu_of_s = _bind(globals(), "nu_of_s")
     rows = [{"N": N, "s": args.s, "nu": nu_of_s(N, args.s, args.tol)}
             for N in range(args.N_from, args.N_to + 1)]

@@ -178,7 +178,7 @@ def proof_identities(alpha: float, R: float, N: int,
     cap = _bind(globals(), "cap_eigenvalue")(N, aN, thetaN, 0, 1, tol)
     lo = alpha * R
     w_N = _sphere_weight(N, aN)
-    h = _normalize_positive(cap.profile, w_N, lo, aN, order=64, panels=32)
+    h = _normalize_positive(cap.profile, w_N, lo, aN)
     dr = 1e-6 * aN
 
     def dh(r):
@@ -203,18 +203,20 @@ def _sphere_weight(N: int, aN: float):
     return lambda r: math.exp(log_weight_sphere(spec, r))
 
 
-def _normalize_positive(profile, weight, lo: float, hi: float, order: int,
-                        panels: int):
-    """Scale so the weighted square integrates to 1; flip to the positive sign."""
+def _normalize_positive(profile, weight, lo: float, hi: float):
+    """Scale a positive profile so that its weighted square integrates to 1 on (lo, hi).
+
+    The first-branch cap and half-line profiles are positive on their
+    supports, so no sign is chosen.  The integral runs on the 48-node,
+    24-panel rule; the checks of the result integrate on 64 nodes and 32
+    panels, so that they can see an error of the rule.
+    """
     from .quadrature import integrate_interval
 
     norm2 = integrate_interval(lambda r: profile(r) ** 2 * weight(r), (lo, hi),
-                               order=order, panels=panels)
+                               order=48, panels=24)
     c = 1.0 / math.sqrt(norm2)
-    mid = profile(0.5 * (lo + hi))
-    if mid < 0:
-        c = -c
-    return lambda r, _p=profile, _c=c: _c * _p(r)
+    return lambda r: c * profile(r)
 
 
 def eigenfunction_comparison(alpha: float, R: float, N: int,
@@ -224,8 +226,8 @@ def eigenfunction_comparison(alpha: float, R: float, N: int,
     The finite-N profile is g_N = h_N * s_N * sqrt(w_N / w_inf) on
     I_N = (alpha*R, a_N), extended by zero, with h_N normalized so that
     int h_N^2 w_N dr = 1; the limit profile h_inf is normalized to unit
-    L2(gamma^1_alpha) norm.  Both are taken positive, so the distances are
-    insensitive to solver sign conventions.
+    L2(gamma^1_alpha) norm.  Both first-branch profiles are positive on their
+    supports, so no sign convention enters the distances.
     """
     import numpy as np
 
@@ -241,20 +243,17 @@ def eigenfunction_comparison(alpha: float, R: float, N: int,
     def w_inf(r):
         return math.exp(log_weight_gauss(alpha, r))
 
-    h_N = _normalize_positive(cap.profile, w_N, lo, aN, order=48, panels=24)
+    h_N = _normalize_positive(cap.profile, w_N, lo, aN)
 
     hi_inf = lo + 20.0 * alpha
-    h_inf = _normalize_positive(inf.profile, w_inf, lo, hi_inf, order=48, panels=24)
+    h_inf = _normalize_positive(inf.profile, w_inf, lo, hi_inf)
     check = abs(integrate_interval(lambda r: h_inf(r) ** 2 * w_inf(r),
                                    (lo, hi_inf), order=64, panels=32) - 1.0)
     if check > tol * 100.0:
         raise RuntimeError(f"limit profile normalization check failed: {check:.3g}")
 
-    def g_N(r):
-        if not lo < r < aN:
-            return 0.0
-        s = 1.0 - (r / aN) ** 2
-        return h_N(r) * s * math.sqrt(w_N(r) / w_inf(r))
+    def g_N(r):  # evaluated inside (lo, aN) only
+        return h_N(r) * (1.0 - (r / aN) ** 2) * math.sqrt(w_N(r) / w_inf(r))
 
     hi = min(aN, hi_inf)
     l2_sq = integrate_interval(lambda r: (g_N(r) - h_inf(r)) ** 2 * w_inf(r),

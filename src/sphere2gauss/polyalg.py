@@ -300,7 +300,7 @@ def dumps(p: RationalPoly, lifted: bool = False) -> str:
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
+    """Rank over Q by Gaussian elimination on Fractions."""
     m = [[Fraction(v) for v in row] for row in rows]
     if not m:
         return 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -18,6 +18,9 @@ from .geometry import SphereSpec, sphere_volume_log
 from .polyalg import LiftedPoly, RationalPoly
 
 DEFAULT_SEED = 42
+_ORDER = 48  # Gauss-Legendre order of the disc reduction
+_RTOL = 1e-9  # agreement of two successive panel counts
+_MAX_REFINE = 20  # panel doublings before the disc reduction gives up
 
 
 class QuadratureError(RuntimeError):
@@ -26,7 +29,6 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str  # "legendre"
     order: int
     nodes: np.ndarray
     weights: np.ndarray
@@ -37,18 +39,7 @@ def legendre_rule(order: int) -> QuadratureRule:
     if order < 2:
         raise ValueError("order must be >= 2")
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    return QuadratureRule("legendre", order, nodes, weights)
-
-
-def _check_finite(values: np.ndarray, nodes: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        node = nodes[np.argmax(bad)]
-        raise QuadratureError(f"integrand not finite at node {node!r}")
-
-
-def _eval(f: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    return np.array([float(f(x)) for x in xs])
+    return QuadratureRule(order, nodes, weights)
 
 
 def integrate_interval(f, interval: tuple[float, float], order: int = 32,
@@ -61,10 +52,12 @@ def integrate_interval(f, interval: tuple[float, float], order: int = 32,
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = (lo + hi) / 2, (hi - lo) / 2
         xs = mid + half * rule.nodes
-        vals = _eval(f, xs)
-        _check_finite(vals, xs)
+        vals = np.array([float(f(x)) for x in xs])
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise QuadratureError(f"integrand not finite at node {xs[np.argmax(bad)]!r}")
         total += half * float(rule.weights @ vals)
-    return total
+    return float(total)
 
 
 def cap_volume_fraction(N: int, theta: float) -> float:
@@ -80,74 +73,56 @@ def cap_volume_fraction(N: int, theta: float) -> float:
 # -- disc reduction ----------------------------------------------------
 
 
-def _as_scalar_fn(F, n: int):
-    if isinstance(F, RationalPoly):
-        if F.nvars != n:
-            raise ValueError(f"polynomial has {F.nvars} variables, expected {n}")
-        terms = [(np.array(e), float(c)) for e, c in F.terms.items()]
-
-        def fn(*xs):
-            pt = np.array(xs)
-            return sum(c * np.prod(pt ** e) for e, c in terms)
-
-        return fn
-    return F
-
-
-def _disc_weight_integral(g, n: int, N: int, a: float, order: int, panels: int) -> float:
-    """Integral over the n-disc of radius a of g(x) (1-|x|^2/a^2)^{(N-n-1)/2}.
+def _disc_weight_integral(poly: RationalPoly, N: int, a: float, panels: int) -> float:
+    """Integral over the n-disc of radius a of poly(x) (1-|x|^2/a^2)^{(N-n-1)/2}.
 
     The substitution r = a sin(psi) turns the boundary-singular weight into
-    cos(psi)^{N-n}, smooth for all N >= n.
+    cos(psi)^{N-n}, smooth for all N >= n; for n = 2 the angle is integrated
+    on one panel of the same rule.
     """
-    expo = N - n  # power of cos(psi) after the substitution, n = 1
-    if n == 1:
+    expo = N - poly.nvars  # power of cos(psi) after the substitution
+    if poly.nvars == 1:
         def integrand(psi):
-            return a * g(a * math.sin(psi)) * math.cos(psi) ** expo
+            return a * poly.evaluate((a * math.sin(psi),)) * math.cos(psi) ** expo
 
-        return integrate_interval(integrand, (-math.pi / 2, math.pi / 2), order, panels)
-    if n == 2:
-        rule = legendre_rule(order)
-        phi_nodes = math.pi * (rule.nodes + 1.0)  # (0, 2*pi)
-        phi_weights = math.pi * rule.weights
+        return integrate_interval(integrand, (-math.pi / 2, math.pi / 2), _ORDER, panels)
 
-        def radial(psi):
-            s, c = math.sin(psi), math.cos(psi)
-            ang = sum(w * g(a * s * math.cos(p), a * s * math.sin(p))
-                      for p, w in zip(phi_nodes, phi_weights))
-            return a * a * s * c ** (N - 2) * ang
+    def radial(psi):
+        s, c = math.sin(psi), math.cos(psi)
+        ang = integrate_interval(
+            lambda p: poly.evaluate((a * s * math.cos(p), a * s * math.sin(p))),
+            (0.0, 2 * math.pi), _ORDER)
+        return a * a * s * c ** expo * ang
 
-        return integrate_interval(radial, (0.0, math.pi / 2), order, panels)
-    raise NotImplementedError("disc reduction implemented for n in {1, 2}")
+    return integrate_interval(radial, (0.0, math.pi / 2), _ORDER, panels)
 
 
-def sphere_inner_product(F, G, spec: SphereSpec, n: int, order: int = 48,
-                         rtol: float = 1e-9, max_refine: int = 20) -> float:
-    """L2 inner product over the sphere of two functions of the first n coordinates.
+def sphere_inner_product(F: RationalPoly, G: RationalPoly, spec: SphereSpec,
+                         n: int) -> float:
+    """L2 inner product over the sphere of two polynomials in the first n coordinates.
 
-    Reduces to a weighted disc integral times the volume of the fibre sphere
-    and refines composite panels until two successive panel counts agree to
-    ``rtol``.
+    Only n in {1, 2} is supported.  The exact product F*G is evaluated in
+    floats at each node of a weighted disc integral, which is multiplied by
+    the volume of the fibre sphere; the composite panels double until two
+    successive panel counts agree to a relative 1e-9.
     """
     N, a = spec.N, spec.a
-    if not 1 <= n <= N:
-        raise ValueError("need 1 <= n <= N")
-    Ff = _as_scalar_fn(F, n)
-    Gf = _as_scalar_fn(G, n)
-
-    def prod(*xs):
-        return Ff(*xs) * Gf(*xs)
-
+    if n not in (1, 2) or n > N:
+        raise ValueError("need n in {1, 2} and n <= N")
+    for P in (F, G):
+        if P.nvars != n:
+            raise ValueError(f"polynomial has {P.nvars} variables, expected {n}")
+    prod = F * G
     fibre_vol = math.exp(sphere_volume_log(N - n, a)) if N > n else 2.0
     prev = None
     panels = 1
-    for _ in range(max_refine + 1):
-        val = fibre_vol * _disc_weight_integral(prod, n, N, a, order, panels)
-        if prev is not None and abs(val - prev) <= rtol * max(1.0, abs(val)):
+    for _ in range(_MAX_REFINE + 1):
+        val = fibre_vol * _disc_weight_integral(prod, N, a, panels)
+        if prev is not None and abs(val - prev) <= _RTOL * max(1.0, abs(val)):
             return val
         prev = val
         panels *= 2
-    raise QuadratureError(f"panel refinement exceeded {max_refine} doublings")
+    raise QuadratureError(f"panel refinement exceeded {_MAX_REFINE} doublings")
 
 
 # -- exact moment oracle -------------------------------------------------
@@ -206,24 +181,19 @@ def lifted_norm_sq_exact(P: LiftedPoly, a: float) -> float:
 # -- Monte Carlo oracle --------------------------------------------------
 
 
-def sample_sphere(N: int, a: float, size: int,
-                  rng: np.random.Generator | None = None,
-                  seed: int = DEFAULT_SEED) -> np.ndarray:
+def sample_sphere(N: int, a: float, size: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Uniform samples on S^N(a): normalized (N+1)-vectors of standard Gaussians."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    g = rng.standard_normal((size, N + 1))
+    g = np.random.default_rng(seed).standard_normal((size, N + 1))
     return a * g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def mc_sphere_integral(f, spec: SphereSpec, samples: int = 100_000,
-                       rng: np.random.Generator | None = None,
                        seed: int = DEFAULT_SEED) -> tuple[float, float]:
     """Monte Carlo estimate (value, standard error) of the integral of f over the sphere.
 
     ``f`` receives one sample point (array of length N+1) at a time.
     """
-    pts = sample_sphere(spec.N, spec.a, samples, rng=rng, seed=seed)
+    pts = sample_sphere(spec.N, spec.a, samples, seed=seed)
     vals = np.array([float(f(p)) for p in pts])
     vol = math.exp(sphere_volume_log(spec.N, spec.a))
     mean = vals.mean()

@@ -274,6 +274,8 @@ def test_closed_spectrum_rejects_an_empty_k_range(capsys, argv):
     ("cheeger", "--alpha", "1", "--N", "0", "--coeffs", "{linear}"),
     ("heat", "--alpha", "1", "--t", "1", "--N", "0", "--coeffs", "{zonal}"),
     ("heat", "--alpha", "1", "--t", "1", "--N", "10", "1", "--coeffs", "{linear}"),
+    ("nu", "--s", "0.5", "--N-from", "1", "--N-to", "3"),
+    ("nu", "--s", "0.5", "--N-from", "-2", "--N-to", "-5"),
 ])
 def test_sphere_dimension_below_two_exit_2(capsys, tmp_path, argv):
     # S^N(a_N) needs N >= 2, whether N = 1 would be skipped, divide by a_N = 0
@@ -285,6 +287,16 @@ def test_sphere_dimension_below_two_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err == "error: need N >= 2\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_nu_rejects_an_empty_N_range(capsys, fmt):
+    # an empty N range is an input error, not a table of its header alone
+    code, out, err = _run(capsys, "nu", "--s", "0.5", "--N-from", "5", "--N-to", "3",
+                          "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: need --N-to >= --N-from\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

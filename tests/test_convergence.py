@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sphere2gauss import quadrature
 from sphere2gauss.convergence import (canonical_schedule, check_hypotheses,
                                       closed_spectrum_table,
                                       dirichlet_convergence_table,
@@ -106,6 +108,31 @@ def test_proof_identities_hold():
         assert p.norm_value == pytest.approx(1.0, abs=1e-8)
         assert p.energy_value == pytest.approx(p.lam, rel=1e-6)
         assert p.second_moment <= p.second_moment_bound
+
+
+@pytest.mark.parametrize("order", [48, 64])
+def test_proof_identities_norm_check_sees_a_rule_error(monkeypatch, order):
+    # h_N is normalized on one Gauss-Legendre rule and its norm checked on
+    # another, so an error in either rule shows in norm_value; were the two
+    # rules the same, the error would cancel and norm_value would read 1
+    rule = quadrature.legendre_rule
+
+    def skewed(n):
+        r = rule(n)
+        return dataclasses.replace(r, weights=r.weights * (1 + 1e-6)) if n == order else r
+
+    monkeypatch.setattr(quadrature, "legendre_rule", skewed)
+    p = proof_identities(1.0, 0.0, 10, tol=1e-8)
+    assert abs(p.norm_value - 1.0) > 1e-8
+
+
+def test_eigenfunction_checks_are_python_floats():
+    p = proof_identities(1.0, 0.0, 10, tol=1e-8)
+    for field in dataclasses.fields(p):
+        if field.name != "N":
+            assert type(getattr(p, field.name)) is float, field.name
+    c = eigenfunction_comparison(1.0, 0.0, 25, tol=1e-8)
+    assert type(c.normalization_check) is float
 
 
 def test_closed_table_input_validation():

@@ -2,12 +2,13 @@
 
 The exact algebra runs without NumPy and SciPy.  The package resolves its
 public names on first access, so the checks that count loaded modules run in
-fresh interpreters.  The public names and the CLI options are frozen here:
+fresh interpreters.  The public names, their parameters and the CLI options are frozen here:
 adding one means editing a table below.
 """
 
 import argparse
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -50,6 +51,67 @@ OPTIONS = {
     "cheeger": ["--alpha", "--n", "--N", "--coeffs", *TABLE],
     "verify": ["--suite"],
     "dump-poly": ["--which", "--N", "--K", "--a", "--alpha"],
+}
+# the parameter names of each public callable; None for the two exception
+# classes, which take what RuntimeError takes.  A value that every caller
+# leaves at one setting, such as the Gauss-Legendre order of
+# sphere_inner_product, is a constant of its module, not a parameter
+SIGNATURES = {
+    "BasisTag": ["kind", "alpha", "N", "a"],
+    "ConvergenceRow": ["N", "lhs", "rhs", "abs_err", "residual_lhs", "residual_rhs",
+                       "hypotheses_ok", "k", "note"],
+    "EigenResult": ["lam", "residual", "zeros", "samples", "iterations", "profile", "ode"],
+    "EigenfunctionComparison": ["N", "l2_distance", "h1_surrogate", "lam_N", "lam_limit",
+                                "normalization_check"],
+    "HeatRow": ["N", "l2_distance", "energy_sphere", "energy_gauss"],
+    "LiftedPoly": ["base", "n", "N"],
+    "MultiIndex": ["entries"],
+    "QuadratureError": None,
+    "QuadratureRule": ["order", "nodes", "weights"],
+    "RationalPoly": ["nvars", "terms"],
+    "SolverError": None,
+    "SpectralCoefficients": ["n", "entries", "basis"],
+    "SphereSpec": ["N", "a"],
+    "build_P": ["N", "n", "K"],
+    "build_Q_gauss": ["n", "K", "alpha2"],
+    "build_Q_sphere": ["N", "n", "K", "a2"],
+    "cap_eigenvalue": ["N", "a", "theta", "k", "j", "tol"],
+    "cap_volume_fraction": ["N", "theta"],
+    "check_harmonic": ["p"],
+    "closed_spectrum_table": ["n", "alpha", "k_max", "N_list"],
+    "dirichlet_convergence_table": ["alpha", "R", "N_list", "tol", "schedule"],
+    "dumps": ["p", "lifted"],
+    "eigenfunction_comparison": ["alpha", "R", "N", "tol"],
+    "enumerate_multi_indices": ["n", "k"],
+    "euler_pairing": ["p"],
+    "gauss_basis": ["alpha"],
+    "gauss_multiplicity": ["n", "k"],
+    "halfline_eigenvalue": ["alpha", "R", "k", "j", "tol"],
+    "heat_convergence_table": ["f", "t", "N_list"],
+    "heat_evolve": ["c", "t"],
+    "hermite": ["k"],
+    "integrate_interval": ["f", "interval", "order", "panels"],
+    "laplacian": ["p", "variables"],
+    "legendre_rule": ["order"],
+    "lifted_laplacian": ["p"],
+    "lifted_norm_sq_exact": ["P", "a"],
+    "mc_sphere_integral": ["f", "spec", "samples", "seed"],
+    "normalization_Z": ["spec"],
+    "nu_of_s": ["N", "s", "tol"],
+    "ode_residual": ["result"],
+    "omega_density": ["N", "n", "a", "alpha", "x"],
+    "ou_apply": ["q", "alpha2"],
+    "projected_eigenspace_dimension": ["N", "n", "k"],
+    "proof_identities": ["alpha", "R", "N", "tol"],
+    "rational_rank": ["rows"],
+    "recovery_sequence": ["f", "N"],
+    "sample_sphere": ["N", "a", "size", "seed"],
+    "sphere_basis": ["N", "a"],
+    "sphere_inner_product": ["F", "G", "spec", "n"],
+    "sphere_monomial_moment": ["N", "a", "beta"],
+    "sphere_multiplicity": ["N", "k"],
+    "sphere_volume_log": ["N", "a"],
+    "varpi_and_A": ["spec", "alpha"],
 }
 SUBMODULES = ["convergence", "eigensolve", "geometry", "harmonics", "heatflow", "indices",
               "polyalg", "quadrature"]
@@ -104,6 +166,18 @@ def test_public_names_unchanged():
         owner = sphere2gauss._SOURCE[name]
         assert namespace[name] is getattr(getattr(sphere2gauss, owner), name)
     assert set(PUBLIC) <= set(dir(sphere2gauss))
+
+
+def _parameters(obj):
+    try:
+        return list(inspect.signature(obj).parameters)
+    except ValueError:  # a class that keeps its builtin base's constructor
+        return None
+
+
+def test_public_signatures_unchanged():
+    got = {name: _parameters(getattr(sphere2gauss, name)) for name in PUBLIC}
+    assert got == SIGNATURES
 
 
 def test_unknown_name_raises_attribute_error():

@@ -64,6 +64,22 @@ def test_remark_inner_product_8pi_15():
     assert val == pytest.approx(8 * math.pi / 15, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_sphere_inner_product_rejects_n_outside_1_2(n):
+    # the disc reduction covers n in {1, 2}; any other n is refused up front
+    one = RationalPoly.constant(max(n, 1), 1)
+    with pytest.raises(ValueError, match="need n in"):
+        sphere_inner_product(one, one, SphereSpec(5, 1.0), n)
+
+
+def test_integrals_are_python_floats():
+    assert type(integrate_interval(math.sin, (0.0, 1.0))) is float
+    assert type(integrate_interval(math.sin, (0.0, 1.0), panels=3)) is float
+    for n in (1, 2):
+        one = RationalPoly.constant(n, 1)
+        assert type(sphere_inner_product(one, one, SphereSpec(3, 1.0), n)) is float
+
+
 def test_sphere_inner_product_of_constants_is_volume():
     one = RationalPoly.constant(1, 1)
     for N, a in [(2, 1.0), (5, 1.5)]:
