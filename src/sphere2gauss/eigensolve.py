@@ -17,6 +17,7 @@ past the boundary; one Brent-Dekker root-find then locates nu.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -375,20 +376,26 @@ def _hermite_form(nu: float):
     Gauss-Laguerre quadrature; the order recurrence (DLMF 12.8), of which
     D_nu is not the minimal solution, then climbs to nu.  Neither step
     cancels, unlike the Kummer sum at large x or scipy's pbdv next to
-    integer orders.
+    integer orders.  The two Laguerre rules are built the first time an
+    abscissa reaches 2; when every x < 2 the Kummer value is returned as is.
     """
     kummer = math.sqrt(math.pi) * 2 ** (nu / 2)
     even_c = kummer * rgamma((1 - nu) / 2)
     odd_c = -math.sqrt(2) * kummer * rgamma(-nu / 2)
     mu0 = nu - math.floor(nu) - 2
-    s0, w0 = roots_genlaguerre(_LAGUERRE, -mu0 - 1)
-    s1, w1 = roots_genlaguerre(_LAGUERRE, -mu0)
+
+    @functools.cache
+    def rules():
+        return roots_genlaguerre(_LAGUERRE, -mu0 - 1), roots_genlaguerre(_LAGUERRE, -mu0)
 
     def h(x):
         near = np.minimum(x, 2.0)
         z = near * near / 2
         small = (even_c * _series(-nu / 2, None, 0.5, z)[0]
                  + odd_c * near * _series((1 - nu) / 2, None, 1.5, z)[0])
+        if np.all(x < 2.0):
+            return small
+        (s0, w0), (s1, w1) = rules()
         far = np.asarray(np.maximum(x, 2.0))[..., None]
         mean0 = np.exp(-s0 ** 2 / (2 * far ** 2)) @ w0 / w0.sum()
         mean1 = np.exp(-s1 ** 2 / (2 * far ** 2)) @ w1 / w1.sum()

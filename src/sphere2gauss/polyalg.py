@@ -299,9 +299,36 @@ def dumps(p: RationalPoly, lifted: bool = False) -> str:
     return "\n".join(lines)
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination on Fractions."""
-    m = [[Fraction(v) for v in row] for row in rows]
+# A Mersenne prime: the modulus of the first, certifying elimination.
+_P = 2 ** 61 - 1
+
+
+def _rank_mod_p(m: list[list[Fraction]]) -> int | None:
+    """Rank over GF(_P) of the rows' image; None if a denominator is divisible by _P."""
+    try:
+        a = [[v.numerator * pow(v.denominator, -1, _P) % _P for v in row] for row in m]
+    except ValueError:
+        return None
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        prow = a[rank]
+        inv = pow(prow[col], -1, _P)
+        for r in range(rank + 1, len(a)):
+            if a[r][col]:
+                f = a[r][col] * inv % _P
+                a[r] = [(x - f * y) % _P for x, y in zip(a[r], prow)]
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def _fraction_rank(m: list[list[Fraction]]) -> int:
+    """Rank over Q by Gaussian elimination on Fractions; ``m`` is overwritten."""
     if not m:
         return 0
     ncols = len(m[0])
@@ -324,3 +351,24 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if row == len(m):
             break
     return rank
+
+
+def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank over Q of a rectangular matrix of rationals.
+
+    The rows are first reduced modulo the prime ``_P`` and eliminated in
+    GF(_P).  Reduction mod p is a ring map, so every minor of the image is
+    the image of a rational minor, and the rank mod p never exceeds the rank
+    over Q.  A rank mod p equal to min(rows, columns) is therefore the rank
+    over Q, certified.  Otherwise (rank lost mod p, or a denominator
+    divisible by p) plain elimination over Q on Fractions decides.  Either
+    way the result is exact; nothing is random.  Rows of unequal length
+    raise ``ValueError``.
+    """
+    m = [[Fraction(v) for v in row] for row in rows]
+    if len({len(row) for row in m}) > 1:
+        raise ValueError("rows differ in length")
+    full = min(len(m), len(m[0])) if m else 0
+    if _rank_mod_p(m) == full:
+        return full
+    return _fraction_rank(m)

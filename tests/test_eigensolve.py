@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq  # test-only oracle for the root step
 
+from sphere2gauss import eigensolve
 from sphere2gauss.eigensolve import (SolverError, _brentq, cap_eigenvalue, halfline_eigenvalue,
                                      nu_of_s, ode_residual)
 
@@ -207,6 +208,21 @@ def test_halfline_matches_parabolic_cylinder_zeros():
                 assert res.lam == pytest.approx(nu / alpha ** 2, rel=1e-9), (R, j)
                 assert res.zeros == j - 1
                 assert res.residual < 1e-8, (R, j, res.residual)
+
+
+def test_hermite_form_builds_laguerre_rules_only_past_two(monkeypatch):
+    # below x = 2 the Kummer branch alone is read, so the rules wait for x >= 2
+    calls = []
+    inner = eigensolve.roots_genlaguerre
+    monkeypatch.setattr(eigensolve, "roots_genlaguerre",
+                        lambda n, a: calls.append(a) or inner(n, a))
+    h = eigensolve._hermite_form(1.3)
+    below = h(1.0), h(np.linspace(-1.0, 1.9, 5))
+    assert calls == []
+    mixed = h(np.array([1.0, 3.0]))
+    h(4.0)
+    assert len(calls) == 2
+    assert mixed[0] == below[0] and np.isfinite(mixed[1])
 
 
 # -- the Brent-Dekker root step, against scipy's brentq as an oracle ------------

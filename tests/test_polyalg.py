@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from sphere2gauss import polyalg
 from sphere2gauss.polyalg import (LiftedPoly, RationalPoly, dumps, euler_pairing,
                                   laplacian, lifted_laplacian, rational_rank)
 
@@ -128,10 +129,52 @@ def test_lifted_poly_validation():
         LiftedPoly(RationalPoly.zero(3), 1, 4)  # wrong variable count
 
 
-@settings(max_examples=25)
-@given(st.lists(st.lists(_coeffs(), min_size=4, max_size=4), min_size=1, max_size=5))
+@st.composite
+def _matrices(draw):
+    """1-6 x 1-6 matrices whose rows past a random few are combinations of earlier rows."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 6))
+    row = st.lists(_coeffs(), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=nrows))
+    while len(rows) < nrows:
+        w = draw(st.lists(_coeffs(), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(a * r[c] for a, r in zip(w, rows)) for c in range(ncols)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=80)
+@given(_matrices())
 def test_rational_rank_matches_sympy(rows):
-    assert rational_rank(rows) == sympy.Matrix(rows).rank()
+    want = sympy.Matrix(rows).rank()
+    assert rational_rank(rows) == want
+    assert polyalg._fraction_rank([[Fraction(v) for v in row] for row in rows]) == want
+
+
+P = polyalg._P
+
+
+@pytest.mark.parametrize("rows, rank, fallback", [
+    ([[1, 2], [3, 4]], 2, False),                   # full rank mod p: certified
+    ([[1, 0], [0, P]], 2, True),                    # full rank over Q, singular mod p
+    ([[1, 0], [0, 2 * P]], 2, True),
+    ([[Fraction(1, P), 1], [0, 1]], 2, True),       # denominator divisible by p
+    ([[Fraction(3, 7 * P)]], 1, True),
+    ([[1, 2], [2, 4]], 1, True),                    # rank lost over Q too
+    ([], 0, False),
+    ([[]], 0, False),
+    ([[], []], 0, False),
+    ([[0]], 0, True),
+    ([[0, 0, 0], [0, 0, 0]], 0, True),
+])
+def test_rational_rank_both_paths(fraction_calls, rows, rank, fallback):
+    assert rational_rank(rows) == rank
+    assert bool(fraction_calls) is fallback
+
+
+@pytest.mark.parametrize("rows", [[[1], [1, 2]], [[0, 1], [1]], [[], [0]]])
+def test_rational_rank_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError, match="differ in length"):
+        rational_rank(rows)
 
 
 def test_dumps_deterministic_and_rational():
