@@ -104,8 +104,8 @@ def _read_coeffs(path: str, n: int) -> dict:
     return entries
 
 
-def _read_schedule(path: str):
-    """CSV with columns (N, a_N, theta_N); returns a schedule callable."""
+def _read_schedule(path: str) -> dict:
+    """CSV with columns (N, a_N, theta_N); returns {N: (a_N, theta_N)}."""
     table = {}
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
@@ -116,13 +116,7 @@ def _read_schedule(path: str):
             except (IndexError, ValueError):
                 raise ValueError(f"{path}:{lineno}: expected numeric N, a_N, theta_N") from None
             table[N] = (a, theta)
-
-    def schedule(N: int):
-        if N not in table:
-            raise ValueError(f"N = {N} not present in the schedule file")
-        return table[N]
-
-    return schedule
+    return table
 
 
 def _rational(text: str, option: str) -> Fraction:
@@ -195,7 +189,13 @@ def _eigen_command(solver: str, params: tuple[str, ...]):
 
 
 def _cmd_converge_dirichlet(args) -> int:
-    schedule = _read_schedule(args.schedule) if args.schedule else None
+    schedule = None
+    if args.schedule:
+        points = _read_schedule(args.schedule)
+        missing = [str(N) for N in args.N if N not in points]
+        if missing:
+            raise ValueError(f"{args.schedule}: no row for N = {', '.join(missing)}")
+        schedule = points.__getitem__
     table = dirichlet_convergence_table(args.alpha, args.R, args.N, args.tol,
                                         schedule=schedule)
     rows, failed = [], []

@@ -12,9 +12,9 @@ theta_N = arccos(alpha*R / a_N), under which
 Custom schedules may be supplied as explicit (N, a_N, theta_N) triples, in
 which case the hypotheses are checked rather than guaranteed.
 
-The numerical harnesses import the solvers, the quadrature and NumPy when
-they run, so that the exact table loads none of them.  The two solvers are
-then bound as names of this module, as a top-level import would bind them.
+The numerical harnesses import the solvers and the quadrature (and so NumPy)
+when they run, so that the exact table loads none of them.  The two solvers
+are then bound as names of this module, as a top-level import would bind them.
 """
 
 from __future__ import annotations
@@ -141,11 +141,11 @@ def dirichlet_convergence_table(alpha: float, R: float, N_list: Sequence[int],
 
 @dataclass(frozen=True)
 class EigenfunctionComparison:
-    """L2 and H1-surrogate distances between the projected eigenfunction profiles."""
+    """Weighted L2 and H1-seminorm distances of the same two profiles, g_N and h_inf."""
 
     N: int
     l2_distance: float
-    h1_surrogate: float  # fixed-grid first-derivative quadrature, not the true H1 norm
+    h1_surrogate: float  # weighted H1-seminorm distance of g_N and h_inf: L2 of their slopes
     lam_N: float
     lam_limit: float
     normalization_check: float  # |int h_inf^2 dgamma - 1| after normalization
@@ -163,6 +163,29 @@ class ProofIdentities:
     second_moment_bound: float  # (2 a_N^2 / N)(1 + 2 a_N^2 lam / N)
 
 
+def _slope(f, lo: float, hi: float):
+    """f' on [lo, hi]: central differences, one-sided within a step of either end."""
+    step = 1e-6 * max(abs(lo), abs(hi))
+
+    def df(r):
+        a, b = max(r - step, lo), min(r + step, hi)
+        return (f(b) - f(a)) / (b - a)
+
+    return df
+
+
+def _cap_profile(alpha: float, R: float, N: int, tol: float):
+    """(a_N, canonical cap solve, w_N, h_N normalized on I_N = (alpha*R, a_N))."""
+    aN, thetaN = canonical_schedule(alpha, R, N)
+    cap = _bind(globals(), "cap_eigenvalue")(N, aN, thetaN, 0, 1, tol)
+    spec = SphereSpec(N, aN)
+
+    def w_N(r):
+        return math.exp(log_weight_sphere(spec, r))
+
+    return aN, cap, w_N, _normalize_positive(cap.profile, w_N, alpha * R, aN)
+
+
 def proof_identities(alpha: float, R: float, N: int,
                      tol: float = 1e-8) -> ProofIdentities:
     """Verify the normalization, energy and second-moment facts for h_N.
@@ -170,20 +193,13 @@ def proof_identities(alpha: float, R: float, N: int,
     With h_N normalized so that int h_N^2 w_N dr = 1 on I_N, the Dirichlet
     identity int h_N'^2 s_N w_N dr = lambda_N holds, and the second moment
     int r^2 h_N^2 w_N dr is bounded by (2 a_N^2/N)(1 + 2 a_N^2 lambda_N/N).
-    The derivative is taken by central differences of the closed-form profile.
+    The derivative is the slope rule that the eigenfunction comparison uses.
     """
     from .quadrature import integrate_interval
 
-    aN, thetaN = canonical_schedule(alpha, R, N)
-    cap = _bind(globals(), "cap_eigenvalue")(N, aN, thetaN, 0, 1, tol)
+    aN, cap, w_N, h = _cap_profile(alpha, R, N, tol)
     lo = alpha * R
-    w_N = _sphere_weight(N, aN)
-    h = _normalize_positive(cap.profile, w_N, lo, aN)
-    dr = 1e-6 * aN
-
-    def dh(r):
-        return (h(min(r + dr, aN)) - h(max(r - dr, lo))) / (min(r + dr, aN) - max(r - dr, lo))
-
+    dh = _slope(h, lo, aN)
     norm_value = integrate_interval(lambda r: h(r) ** 2 * w_N(r), (lo, aN),
                                     order=64, panels=32)
     energy_value = integrate_interval(
@@ -195,12 +211,6 @@ def proof_identities(alpha: float, R: float, N: int,
     return ProofIdentities(N=N, norm_value=norm_value, energy_value=energy_value,
                            lam=cap.lam, second_moment=second,
                            second_moment_bound=bound)
-
-
-def _sphere_weight(N: int, aN: float):
-    """w_N(r) as a function of r, zero off (-aN, aN)."""
-    spec = SphereSpec(N, aN)
-    return lambda r: math.exp(log_weight_sphere(spec, r))
 
 
 def _normalize_positive(profile, weight, lo: float, hi: float):
@@ -229,23 +239,16 @@ def eigenfunction_comparison(alpha: float, R: float, N: int,
     L2(gamma^1_alpha) norm.  Both first-branch profiles are positive on their
     supports, so no sign convention enters the distances.
     """
-    import numpy as np
-
     from .quadrature import integrate_interval
 
-    aN, thetaN = canonical_schedule(alpha, R, N)
-    cap = _bind(globals(), "cap_eigenvalue")(N, aN, thetaN, 0, 1, tol)
+    aN, cap, w_N, h_N = _cap_profile(alpha, R, N, tol)
     inf = _bind(globals(), "halfline_eigenvalue")(alpha, R, 0, 1, tol)
-
     lo = alpha * R
-    w_N = _sphere_weight(N, aN)
+    hi_inf = lo + 20.0 * alpha
 
     def w_inf(r):
         return math.exp(log_weight_gauss(alpha, r))
 
-    h_N = _normalize_positive(cap.profile, w_N, lo, aN)
-
-    hi_inf = lo + 20.0 * alpha
     h_inf = _normalize_positive(inf.profile, w_inf, lo, hi_inf)
     check = abs(integrate_interval(lambda r: h_inf(r) ** 2 * w_inf(r),
                                    (lo, hi_inf), order=64, panels=32) - 1.0)
@@ -255,24 +258,16 @@ def eigenfunction_comparison(alpha: float, R: float, N: int,
     def g_N(r):  # evaluated inside (lo, aN) only
         return h_N(r) * (1.0 - (r / aN) ** 2) * math.sqrt(w_N(r) / w_inf(r))
 
-    hi = min(aN, hi_inf)
-    l2_sq = integrate_interval(lambda r: (g_N(r) - h_inf(r)) ** 2 * w_inf(r),
-                               (lo, hi), order=48, panels=32)
-    if aN < hi_inf:  # tail of the limit profile past the sphere's edge
-        l2_sq += integrate_interval(lambda r: h_inf(r) ** 2 * w_inf(r),
-                                    (aN, hi_inf), order=48, panels=8)
+    def distance(f, g):
+        """Weighted L2 distance on (lo, hi_inf) of f, zero past a_N, and g."""
+        sq = integrate_interval(lambda r: (f(r) - g(r)) ** 2 * w_inf(r),
+                                (lo, min(aN, hi_inf)), order=48, panels=32)
+        if aN < hi_inf:  # tail of g past the sphere's edge
+            sq += integrate_interval(lambda r: g(r) ** 2 * w_inf(r),
+                                     (aN, hi_inf), order=48, panels=8)
+        return math.sqrt(sq)
 
-    # fixed-grid derivative surrogate for the H1_0 distance
-    grid = np.linspace(lo + 1e-6 * alpha, hi - 1e-6 * alpha, 2001)
-    dr = grid[1] - grid[0]
-    gv = np.array([g_N(r) for r in grid])
-    hv = np.array([h_inf(r) for r in grid])
-    wd = np.array([w_inf(r) for r in grid])
-    dg = np.gradient(gv, dr)
-    dh = np.gradient(hv, dr)
-    h1_sq = float(np.trapezoid((dg - dh) ** 2 * wd, dx=dr))
-
-    return EigenfunctionComparison(N=N, l2_distance=math.sqrt(l2_sq),
-                                   h1_surrogate=math.sqrt(h1_sq),
-                                   lam_N=cap.lam, lam_limit=inf.lam,
-                                   normalization_check=check)
+    return EigenfunctionComparison(
+        N=N, l2_distance=distance(g_N, h_inf),
+        h1_surrogate=distance(_slope(g_N, lo, aN), _slope(h_inf, lo, hi_inf)),
+        lam_N=cap.lam, lam_limit=inf.lam, normalization_check=check)

@@ -200,28 +200,6 @@ class LiftedPoly:
         self.n = n
         self.N = N
 
-    def __eq__(self, other):
-        return (isinstance(other, LiftedPoly) and self.n == other.n
-                and self.N == other.N and self.base == other.base)
-
-    def __add__(self, other):
-        if isinstance(other, LiftedPoly):
-            if (self.n, self.N) != (other.n, other.N):
-                raise ValueError("mismatched (n, N)")
-            return LiftedPoly(self.base + other.base, self.n, self.N)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            return LiftedPoly(self.base * other, self.n, self.N)
-        if isinstance(other, LiftedPoly):
-            if (self.n, self.N) != (other.n, other.N):
-                raise ValueError("mismatched (n, N)")
-            return LiftedPoly(self.base * other.base, self.n, self.N)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return self.base.is_zero()
 

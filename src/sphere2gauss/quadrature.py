@@ -164,7 +164,7 @@ def lifted_norm_sq_exact(P: LiftedPoly, a: float) -> float:
     moment at weight exponent (N-n-1)/2 + j; independent of any quadrature.
     """
     N, n = P.N, P.n
-    sq = (P * P).base
+    sq = P.base * P.base
     fibre_log = sphere_volume_log(N - n, 1.0) if N > n else math.log(2.0)
     total = 0.0
     for exps, coeff in sq.terms.items():

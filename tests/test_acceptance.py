@@ -60,10 +60,12 @@ def test_criterion_02_exact_ou_identity():
             out == "PASS ou n<=4 |K|<=6 alpha2 in {1,2,1/2}\n")
 
 
-def test_criterion_03_dimension_identity():
+def test_criterion_03_dimension_identity(fraction_calls):
+    # the grid never falls back to the Fraction elimination: every rank there
+    # is proved by the rank mod p
     out = _verify("dimension")
     _report(3, "rational-rank dimension identity d_k(n), n<=4 N<=12 k<=5",
-            out == "PASS dimension n<=4 N<=12 k<=5\n")
+            out == "PASS dimension n<=4 N<=12 k<=5\n" and fraction_calls == [])
 
 
 def test_criterion_04_exact_error_law():

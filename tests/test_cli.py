@@ -234,6 +234,38 @@ def test_malformed_schedule_row_exit_2(capsys, tmp_path, row):
     assert err == f"error: {sched}:2: expected numeric N, a_N, theta_N\n"
 
 
+def test_schedule_without_a_requested_N_exit_2(capsys, tmp_path):
+    # every requested N must have a schedule row; a missing one is an input
+    # error found before any solve, not a skipped row
+    sched = tmp_path / "schedule.csv"
+    sched.write_text("N,a_N,theta_N\n26,5.0,1.5707963\n50,7.0,1.5707963\n")
+    code, out, err = _run(capsys, "converge-dirichlet", "--alpha", "1", "--R", "0",
+                          "--N", "27", "26", "51", "--schedule", str(sched))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {sched}: no row for N = 27, 51\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("cap-eigen", "--N", "15", "--a", "1", "--theta", "2.99", "--k", "1"),
+    ("cap-eigen", "--N", "500", "--a", "1", "--theta", "2.36", "--k", "1", "--j", "4"),
+    ("cap-eigen", "--N", "2000", "--a", "1", "--theta", "2.95"),
+    ("halfspace-eigen", "--alpha", "1", "--R", "-8"),
+    ("halfspace-eigen", "--alpha", "1", "--R", "30"),
+])
+def test_solver_failure_contract(capsys, argv):
+    # a solve either fails with exit 1 and one error line, or prints a row
+    # whose residual passes its certificate
+    code, out, err = _run(capsys, *argv)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert float(row["residual"]) <= 1e-8
+
+
 @pytest.mark.parametrize("argv", [
     ("closed-spectrum", "--kmax", "2", "--a", "0"),
     ("closed-spectrum", "--kmax", "2", "--space", "gauss", "--alpha", "0"),

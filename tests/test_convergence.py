@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +101,48 @@ def test_eigenfunction_comparison_improves_with_N():
     assert c_large.l2_distance < 0.1
     assert c_small.normalization_check < 1e-8
     assert c_large.h1_surrogate < c_small.h1_surrogate
+
+
+@pytest.mark.parametrize("N,alpha", [(25, 1.0), (100, 1.0), (400, 1.0), (50, 1.3)])
+def test_eigenfunction_distances_match_closed_forms_at_R0(N, alpha):
+    # at R = 0 the hemisphere's first profile is h_N = c_N r and the
+    # half-line's is h_inf = c r, so g_N = c_N r s^(N/4 + 1/2) e^(r^2/(4 alpha^2))
+    # sqrt(sqrt(2 pi) alpha / Z) with s = 1 - r^2/a^2, and both distances are
+    # one-dimensional integrals of closed forms
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    alpha = mp.mpf(alpha)
+    a = alpha * mp.sqrt(N - 1)
+    Z = a * mp.sqrt(mp.pi) * mp.gamma(mp.mpf(N) / 2) / mp.gamma(mp.mpf(N + 1) / 2)
+    c_N = 1 / mp.sqrt(a ** 3 / Z * mp.beta(mp.mpf(3) / 2, mp.mpf(N) / 2) / 2)
+    c = mp.sqrt(2) / alpha
+    K = c_N * mp.sqrt(mp.sqrt(2 * mp.pi) * alpha / Z)
+    p, q = mp.mpf(N) / 4 + mp.mpf(1) / 2, 1 / (4 * alpha ** 2)
+
+    def w_inf(r):
+        return mp.exp(-r * r / (2 * alpha ** 2)) / (mp.sqrt(2 * mp.pi) * alpha)
+
+    def g(r):
+        return K * r * (1 - r * r / a ** 2) ** p * mp.exp(q * r * r)
+
+    def dg(r):
+        s = 1 - r * r / a ** 2
+        return K * s ** p * mp.exp(q * r * r) * (1 + r * r * (2 * q - 2 * p / (a * a * s)))
+
+    hi_inf = 20 * alpha
+    hi = min(a, hi_inf)
+
+    def distance(f, h):
+        sq = mp.quad(lambda r: (f(r) - h(r)) ** 2 * w_inf(r), mp.linspace(0, hi, 9))
+        if a < hi_inf:
+            sq += mp.quad(lambda r: h(r) ** 2 * w_inf(r), mp.linspace(a, hi_inf, 9))
+        return mp.sqrt(sq)
+
+    l2 = distance(g, lambda r: c * r)
+    h1 = distance(dg, lambda r: c)
+    comp = eigenfunction_comparison(float(alpha), 0.0, N, tol=1e-8)
+    assert comp.l2_distance == pytest.approx(float(l2), rel=1e-8, abs=0)
+    assert comp.h1_surrogate == pytest.approx(float(h1), rel=1e-8, abs=0)
 
 
 def test_proof_identities_hold():
