@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from sphere2gauss import cli
 from sphere2gauss.harmonics import (build_P, build_Q_gauss, build_Q_sphere, check_harmonic,
                                     coeff_C, hermite, ou_apply,
                                     projected_eigenspace_dimension)
@@ -155,6 +156,13 @@ def test_Q_sphere_first_slot_zero_theta_identity_on_S2():
 def test_projected_dimension_matches_gauss(n, k):
     N = n + 3
     assert projected_eigenspace_dimension(N, n, k) == gauss_multiplicity(n, k)
+
+
+def test_dimension_grid_is_certified_mod_p(fraction_calls):
+    # the criterion-3 grid (n <= 4, N <= 12, k <= 5) never falls back to the
+    # Fraction elimination: every rank there is proved by the rank mod p
+    assert cli._verify_dimension()
+    assert fraction_calls == []
 
 
 def test_enumerate_consistency_with_family_size():
