@@ -322,7 +322,8 @@ def cap_eigenvalue(N: int, a: float, theta: float, k: int = 0, j: int = 1,
     The root nu - k is located to relative precision tol/1000; ``residual``
     certifies the sampled eigenfunction against the ODE.
     """
-    if N < 2 or not 0 < a < math.inf or not 0 < theta < math.pi or k < 0 or j < 1 or not tol > 0:
+    if (N < 2 or not 0 < a < math.inf or not 0 < theta < math.pi or k < 0 or j < 1
+            or not 0 < tol < math.inf):
         raise ValueError("invalid cap problem parameters")
     t_b = math.cos(theta)
     half = k + (N - 1) / 2
@@ -415,7 +416,8 @@ def halfline_eigenvalue(alpha: float, R: float, k: int = 0, j: int = 1,
     The angular index enters only as the exact shift k/alpha^2.  The root nu
     of D_nu(R) is located to relative precision tol/1000.
     """
-    if not 0 < alpha < math.inf or not math.isfinite(R) or k < 0 or j < 1 or not tol > 0:
+    if (not 0 < alpha < math.inf or not math.isfinite(R) or k < 0 or j < 1
+            or not 0 < tol < math.inf):
         raise ValueError("invalid half-line problem parameters")
 
     def sample(nu):

@@ -9,11 +9,10 @@ polynomials.  Everything here is exact rational arithmetic.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import Sequence
 
-from .indices import MultiIndex, enumerate_multi_indices, gauss_multiplicity
+from .indices import MultiIndex, enumerate_multi_indices
 from .polyalg import (
     LiftedPoly,
     RationalPoly,
@@ -119,27 +118,14 @@ def ou_apply(q: RationalPoly, alpha2) -> RationalPoly:
     return laplacian(q) + Fraction(-1) / alpha2 * euler_pairing(q)
 
 
-def _generic_points(n: int, count: int, seed: int = 20240) -> list[tuple[Fraction, ...]]:
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        pts.append(tuple(Fraction(rng.randint(-97, 97), rng.randint(1, 89)) for _ in range(n)))
-    return pts
-
-
 def projected_eigenspace_dimension(N: int, n: int, k: int) -> int:
-    """Rank over Q of the order-k family on the sphere of squared radius N, at generic points.
+    """Exact rank over Q of the order-k family's coefficient matrix.
 
-    Extra evaluation points are appended (up to three times the family size)
-    before trusting a rank-deficient answer, so a degenerate point draw
-    cannot fake a failure of the dimension identity.
+    One row per member build_Q_sphere(N, n, K, N), |K| = k, and one column per
+    monomial any member has.  A polynomial that vanishes on the projected ball
+    |x|^2 < N, which has nonempty interior, is zero; so this rank is the
+    dimension of the family's span as functions there.
     """
     family = [build_Q_sphere(N, n, K, N) for K in enumerate_multi_indices(n, k)]
-    d = gauss_multiplicity(n, k)
-    for npts in (d, 2 * d, 3 * d):
-        pts = _generic_points(n, npts)
-        rows = [[q.evaluate(p) for p in pts] for q in family]
-        rank = rational_rank(rows)
-        if rank == len(family):
-            return rank
-    return rank
+    monomials = sorted({e for q in family for e in q.terms})
+    return rational_rank([[q.terms.get(e, 0) for e in monomials] for q in family])

@@ -31,11 +31,11 @@ class BasisTag:
 
     def __post_init__(self):
         if self.kind == "gauss":
-            if self.alpha is None or not self.alpha > 0:
-                raise ValueError("gauss basis needs alpha > 0")
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise ValueError("gauss basis needs 0 < alpha < inf")
         elif self.kind == "sphere":
-            if self.N is None or self.N < 2 or self.a is None or not self.a > 0:
-                raise ValueError("sphere basis needs N >= 2 and a > 0")
+            if self.N is None or self.N < 2 or self.a is None or not 0 < self.a < math.inf:
+                raise ValueError("sphere basis needs N >= 2 and 0 < a < inf")
         else:
             raise ValueError(f"unknown basis kind {self.kind!r}")
 
@@ -81,7 +81,7 @@ class SpectralCoefficients:
 
 def heat_evolve(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
     """Heat semigroup: multiply the entry at K by exp(-t * lambda_{|K|})."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("need t >= 0")
     out = {}
     for K, v in c.entries.items():

@@ -344,6 +344,33 @@ def test_zero_energy_prints_as_float(capsys, tmp_path, command, text, fmt):
     assert row["energy_sphere"] == row["energy_gauss"] == "0.0000000000000000e+00"
 
 
+@pytest.mark.parametrize("argv, err", [
+    # NaN is not >= 0; evolved, every coefficient turns NaN and is pruned
+    (("heat", "--alpha", "1", "--t", "nan"), "need t >= 0"),
+    (("heat", "--alpha", "inf", "--t", "1"), "gauss basis needs 0 < alpha < inf"),
+    (("cheeger", "--alpha", "inf"), "gauss basis needs 0 < alpha < inf"),
+    # a finite alpha whose a_N = alpha * sqrt(N - 1) overflows to inf
+    (("cheeger", "--alpha", "1e308"), "sphere basis needs N >= 2 and 0 < a < inf"),
+], ids=["heat-t", "heat-alpha", "cheeger-alpha", "cheeger-a_N"])
+def test_heat_and_cheeger_non_finite_parameters_exit_2(capsys, tmp_path, argv, err):
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("0 1.0\n1 0.5\n")
+    code, out, got = _run(capsys, *argv, "--N", "5", "--coeffs", str(coeffs))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (("cap-eigen", "--N", "5", "--a", "1", "--theta", "1"), "cap"),
+    (("halfspace-eigen", "--alpha", "1", "--R", "0"), "half-line"),
+    (("converge-dirichlet", "--alpha", "1", "--R", "0", "--N", "5"), "half-line"),
+    (("nu", "--s", "0.3", "--N-from", "2", "--N-to", "4"), "cap"),
+], ids=["cap-eigen", "halfspace-eigen", "converge-dirichlet", "nu"])
+def test_infinite_tol_exit_2(capsys, argv, problem):
+    # with tol = inf Brent's rtol is inf and it returns a bracket end
+    code, out, err = _run(capsys, *argv, "--tol", "inf")
+    assert (code, out, err) == (2, "", f"error: invalid {problem} problem parameters\n")
+
+
 @pytest.mark.parametrize("R", ["nan", "inf", "-1e400"])
 def test_halfspace_eigen_non_finite_boundary_exit_2(capsys, R):
     code, out, err = _run(capsys, "halfspace-eigen", "--alpha", "1", f"--R={R}")
