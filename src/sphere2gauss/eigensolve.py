@@ -320,10 +320,11 @@ def cap_eigenvalue(N: int, a: float, theta: float, k: int = 0, j: int = 1,
     """j-th Dirichlet eigenvalue of the cap problem with angular index k.
 
     The root nu - k is located to relative precision tol/1000; ``residual``
-    certifies the sampled eigenfunction against the ODE.
+    certifies the sampled eigenfunction against the ODE.  The residual is at
+    most 1, so 0 < tol < 1.
     """
     if (N < 2 or not 0 < a < math.inf or not 0 < theta < math.pi or k < 0 or j < 1
-            or not 0 < tol < math.inf):
+            or not 0 < tol < 1):
         raise ValueError("invalid cap problem parameters")
     t_b = math.cos(theta)
     half = k + (N - 1) / 2
@@ -414,10 +415,11 @@ def halfline_eigenvalue(alpha: float, R: float, k: int = 0, j: int = 1,
     """j-th Dirichlet eigenvalue on (alpha*R, inf) under the 1-D Gaussian measure.
 
     The angular index enters only as the exact shift k/alpha^2.  The root nu
-    of D_nu(R) is located to relative precision tol/1000.
+    of D_nu(R) is located to relative precision tol/1000; 0 < tol < 1, as for
+    ``cap_eigenvalue``.
     """
     if (not 0 < alpha < math.inf or not math.isfinite(R) or k < 0 or j < 1
-            or not 0 < tol < math.inf):
+            or not 0 < tol < 1):
         raise ValueError("invalid half-line problem parameters")
 
     def sample(nu):

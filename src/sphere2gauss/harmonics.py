@@ -29,10 +29,7 @@ def coeff_C(j: int, m: int) -> Fraction:
         raise ValueError("j must be >= 0")
     out = Fraction(1)
     for l in range(1, j + 1):
-        den = 2 * l * (m + 2 * l - 1)
-        if den == 0:
-            raise ZeroDivisionError(f"coefficient undefined: m+2l-1 = 0 at l={l}, m={m}")
-        out *= Fraction(-1, den)
+        out *= Fraction(-1, 2 * l * (m + 2 * l - 1))
     return out
 
 
@@ -96,12 +93,9 @@ def hermite(k: int) -> RationalPoly:
     """Probabilists' Hermite polynomial H_k in one variable."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    h_prev = RationalPoly.constant(1, 1)
-    if k == 0:
-        return h_prev
     r = RationalPoly.variable(1, 0)
-    h = r
-    for m in range(1, k):
+    h_prev, h = RationalPoly(1), RationalPoly.constant(1, 1)
+    for m in range(k):
         h, h_prev = r * h - Fraction(m) * h_prev, h
     return h
 

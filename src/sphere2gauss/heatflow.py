@@ -80,12 +80,13 @@ class SpectralCoefficients:
 
 
 def heat_evolve(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
-    """Heat semigroup: multiply the entry at K by exp(-t * lambda_{|K|})."""
+    """Heat semigroup: the entry at K times exp(-t * lambda_{|K|}), kept as is where lambda = 0."""
     if not t >= 0:
         raise ValueError("need t >= 0")
     out = {}
     for K, v in c.entries.items():
-        w = v * math.exp(-t * c.basis.eigenvalue(K.order()))
+        lam = c.basis.eigenvalue(K.order())
+        w = v * math.exp(-t * lam) if lam else v
         if abs(w) >= _UNDERFLOW:
             out[K] = w
     return SpectralCoefficients(c.n, out, c.basis)
@@ -105,12 +106,15 @@ def recovery_sequence(f: SpectralCoefficients, N: int) -> SpectralCoefficients:
         raise ValueError("need N >= 2")
     alpha = f.basis.alpha
     aN = alpha * math.sqrt(N - 1)
+    basis = sphere_basis(N, aN)  # first, so that an infinite a_N is reported as such
     aN2 = aN * aN
     out = {}
     for K, v in f.entries.items():
-        k = K.order()
-        out[K] = v * math.sqrt(aN2 / ((k + N - 1) * alpha * alpha))
-    return SpectralCoefficients(f.n, out, sphere_basis(N, aN))
+        den = (K.order() + N - 1) * alpha * alpha
+        if math.inf in (aN2, den):
+            raise ValueError(f"alpha^2 (|K| + N - 1) overflows at alpha = {alpha!r}, N = {N}")
+        out[K] = v * math.sqrt(aN2 / den)
+    return SpectralCoefficients(f.n, out, basis)
 
 
 @dataclass(frozen=True)

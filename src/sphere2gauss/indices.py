@@ -36,17 +36,10 @@ def enumerate_multi_indices(n: int, k: int) -> list[MultiIndex]:
     if k < 0:
         raise ValueError("k must be >= 0")
 
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for head in range(remaining, -1, -1):
-            rec(prefix + (head,), remaining - head, slots - 1)
-
-    rec((), k, n)
-    return [MultiIndex(e) for e in out]
+    if n == 1:
+        return [MultiIndex((k,))]
+    return [MultiIndex((head, *tail)) for head in range(k, -1, -1)
+            for tail in enumerate_multi_indices(n - 1, k - head)]
 
 
 def gauss_multiplicity(n: int, k: int) -> int:

@@ -127,13 +127,8 @@ class RationalPoly:
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         result = RationalPoly.constant(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        for _ in range(exponent):
+            result = self * result
         return result
 
     def __eq__(self, other):
@@ -281,12 +276,12 @@ def dumps(p: RationalPoly, lifted: bool = False) -> str:
 _P = 2 ** 61 - 1
 
 
-def _rank_mod_p(m: list[list[Fraction]]) -> int | None:
-    """Rank over GF(_P) of the rows' image; None if a denominator is divisible by _P."""
-    try:
-        a = [[v.numerator * pow(v.denominator, -1, _P) % _P for v in row] for row in m]
-    except ValueError:
-        return None
+def _eliminate(a: list[list], inverse, subtract) -> int:
+    """Rank of the rows ``a`` over a field by Gaussian elimination; ``a`` is overwritten.
+
+    ``inverse(v)`` is the field inverse of a nonzero entry and
+    ``subtract(row, f, pivot_row)`` is the row ``row - f * pivot_row``.
+    """
     rank = 0
     for col in range(len(a[0]) if a else 0):
         pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
@@ -294,41 +289,30 @@ def _rank_mod_p(m: list[list[Fraction]]) -> int | None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
         prow = a[rank]
-        inv = pow(prow[col], -1, _P)
+        inv = inverse(prow[col])
         for r in range(rank + 1, len(a)):
             if a[r][col]:
-                f = a[r][col] * inv % _P
-                a[r] = [(x - f * y) % _P for x, y in zip(a[r], prow)]
+                a[r] = subtract(a[r], a[r][col] * inv, prow)
         rank += 1
         if rank == len(a):
             break
     return rank
 
 
+def _rank_mod_p(m: list[list[Fraction]]) -> int | None:
+    """Rank over GF(_P) of the rows' image; None if a denominator is divisible by _P."""
+    try:
+        a = [[v.numerator * pow(v.denominator, -1, _P) % _P for v in row] for row in m]
+    except ValueError:
+        return None
+    return _eliminate(a, lambda v: pow(v, -1, _P),
+                      lambda row, f, prow: [(x - f * y) % _P for x, y in zip(row, prow)])
+
+
 def _fraction_rank(m: list[list[Fraction]]) -> int:
     """Rank over Q by Gaussian elimination on Fractions; ``m`` is overwritten."""
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] / pv
-                mr, mrow = m[r], m[row]
-                for c in range(col, ncols):
-                    mr[c] -= f * mrow[c]
-        rank += 1
-        row += 1
-        if row == len(m):
-            break
-    return rank
+    return _eliminate(m, lambda v: 1 / v,
+                      lambda row, f, prow: [x - f * y for x, y in zip(row, prow)])
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:

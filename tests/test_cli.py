@@ -351,7 +351,14 @@ def test_zero_energy_prints_as_float(capsys, tmp_path, command, text, fmt):
     (("cheeger", "--alpha", "inf"), "gauss basis needs 0 < alpha < inf"),
     # a finite alpha whose a_N = alpha * sqrt(N - 1) overflows to inf
     (("cheeger", "--alpha", "1e308"), "sphere basis needs N >= 2 and 0 < a < inf"),
-], ids=["heat-t", "heat-alpha", "cheeger-alpha", "cheeger-a_N"])
+    # a finite a_N whose square overflows: the recovery scale was NaN
+    (("cheeger", "--alpha", "1e154"),
+     "alpha^2 (|K| + N - 1) overflows at alpha = 1e+154, N = 5"),
+    # a finite a_N^2 but an overflowing (|K| + N - 1) alpha^2: the scale was 0
+    (("cheeger", "--alpha", "6.5e153"),
+     "alpha^2 (|K| + N - 1) overflows at alpha = 6.5e+153, N = 5"),
+], ids=["heat-t", "heat-alpha", "cheeger-alpha", "cheeger-a_N", "cheeger-a_N^2",
+        "cheeger-scale"])
 def test_heat_and_cheeger_non_finite_parameters_exit_2(capsys, tmp_path, argv, err):
     coeffs = tmp_path / "coeffs.txt"
     coeffs.write_text("0 1.0\n1 0.5\n")
@@ -359,16 +366,27 @@ def test_heat_and_cheeger_non_finite_parameters_exit_2(capsys, tmp_path, argv, e
     assert (code, out, got) == (2, "", f"error: {err}\n")
 
 
-@pytest.mark.parametrize("argv, problem", [
+tol_commands = pytest.mark.parametrize("argv, problem", [
     (("cap-eigen", "--N", "5", "--a", "1", "--theta", "1"), "cap"),
     (("halfspace-eigen", "--alpha", "1", "--R", "0"), "half-line"),
     (("converge-dirichlet", "--alpha", "1", "--R", "0", "--N", "5"), "half-line"),
     (("nu", "--s", "0.3", "--N-from", "2", "--N-to", "4"), "cap"),
 ], ids=["cap-eigen", "halfspace-eigen", "converge-dirichlet", "nu"])
+
+
+@tol_commands
 def test_infinite_tol_exit_2(capsys, argv, problem):
     # with tol = inf Brent's rtol is inf and it returns a bracket end
     code, out, err = _run(capsys, *argv, "--tol", "inf")
     assert (code, out, err) == (2, "", f"error: invalid {problem} problem parameters\n")
+
+
+@tol_commands
+def test_tol_of_one_or_more_exit_2(capsys, argv, problem):
+    # the residual certificate is at most 1, so such a tol certifies nothing
+    for tol in ("1", "1e300"):
+        code, out, err = _run(capsys, *argv, "--tol", tol)
+        assert (code, out, err) == (2, "", f"error: invalid {problem} problem parameters\n")
 
 
 @pytest.mark.parametrize("R", ["nan", "inf", "-1e400"])

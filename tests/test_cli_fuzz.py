@@ -143,6 +143,8 @@ def test_cli_fuzz(workdir, command, data):
     for i, arg in enumerate(args + common):
         if isinstance(arg, File):
             path = workdir / f"input{i}.txt"
+            # a new file: writing again over a truncated one can stall close()
+            path.unlink(missing_ok=True)
             path.write_text(arg.text)
             arg = str(path)
         argv.append(arg)

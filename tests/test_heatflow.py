@@ -46,6 +46,14 @@ def test_heat_evolve_factors():
         math.exp(-2 * (N + 1) / (N - 1)), rel=1e-14)
 
 
+@pytest.mark.parametrize("basis", [gauss_basis(1.0), sphere_basis(5, 2.0)],
+                         ids=["gauss", "sphere"])
+def test_heat_evolve_keeps_the_constant_mode_at_infinite_time(basis):
+    # exp(-inf * 0) is NaN, so the eigenvalue-0 mode must not go through exp
+    f = SpectralCoefficients(2, _coeffs().entries, basis)
+    assert heat_evolve(f, math.inf).entries == {MultiIndex((0, 0)): 1.0}
+
+
 @settings(max_examples=30)
 @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0))
 def test_semigroup_law(s, t):

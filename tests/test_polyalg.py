@@ -57,6 +57,9 @@ def test_pow_and_degree():
     p = (x + y) ** 3
     assert p.degree() == 3
     assert p.terms[(2, 1)] == 3
+    assert p ** 0 == 1
+    with pytest.raises(ValueError):
+        p ** -1
 
 
 def test_euler_pairing_homogeneous():
